@@ -3,19 +3,28 @@
 The estimator is p_hat(x) = (1 / (n h^d)) * sum_i K((x - X_i) / h).  Partial
 derivatives up to order two are computed from the analytic Gaussian kernel
 derivatives, scaled by 1 / (n h^(d + |beta|)).
+
+Every evaluation goes through one engine, ``_kernel_sums``: it walks the
+queries in blocks whose (n, block) temporaries hold about _BLOCK_ELEMENTS
+values, so memory stays bounded whatever the number of queries, and it keeps
+the exact difference form (x - X_i) / h.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError, evaluate_many
+from .kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError, evaluate_sq
 
 # Gaussian mass beyond 6 standard deviations is < 1e-8 of the kernel peak,
 # so truncating at this radius changes grid densities by < 1e-8 relative.
 TRUNCATION_RADIUS = 6.0
+
+# Each (n, block) temporary of the kernel-sum engine holds about this many
+# float64 values (2 MB), whatever the number of queries.
+_BLOCK_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -103,9 +112,79 @@ def _query_matrix(model: DensityModel, x) -> np.ndarray:
         x = x[None, :]
     if x.shape[1] != model.dim:
         raise ValueError(f"query dimension {x.shape[1]} != model dim {model.dim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("query point must be finite")
     return x
+
+
+def _blocks(model: DensityModel, x: np.ndarray):
+    """Walk the (m, d) queries ``x`` in blocks of about _BLOCK_ELEMENTS / n.
+
+    Yields (rows, u, sq) per block: the query slice, the scaled offsets
+    u_l = (q_l - X_il) / h as one (n, b) array per coordinate, and their
+    squared norm, accumulated one coordinate at a time.  numpy sums an (n, 1)
+    array over n pairwise but a wider one row by row, so a lone last query
+    joins the block before it; sums over n then equal those of a single
+    (n, m) array bit for bit.
+    """
+    data = model.sample.data
+    h = model.bandwidth
+    m, d = x.shape
+    step = max(2, _BLOCK_ELEMENTS // data.shape[0])
+    start = 0
+    while start < m:
+        stop = m if start + step >= m - 1 else start + step
+        q = x[start:stop]
+        u = []
+        for l in range(d):
+            ul = q[:, l] - data[:, l:l + 1]
+            ul /= h
+            u.append(ul)
+        sq = np.square(u[0])
+        for ul in u[1:]:
+            sq += np.square(ul)
+        yield slice(start, stop), u, sq
+        start = stop
+
+
+def _kernel_sums(model: DensityModel, x: np.ndarray, order: int,
+                 truncate: bool = False):
+    """Kernel sums over the sample at each query, with u_i = (x - X_i) / h:
+
+    s0 = sum_i K(u_i) (m,), s1 = sum_i K(u_i) u_i (m, d) and
+    s2 = sum_i K(u_i) u_i u_i^T (m, d, d); returns (s0, ..., s_order).
+
+    ``x`` is an (m, d) array of finite queries (see ``_query_matrix``).  No
+    (n, m, d) array is built.  With ``truncate``, pairs with
+    ||u|| > TRUNCATION_RADIUS contribute nothing.
+    """
+    m, d = x.shape
+    sums = [np.empty((m,) + (d,) * k) for k in range(order + 1)]
+    for rows, u, sq in _blocks(model, x):
+        if truncate:
+            sq[sq > TRUNCATION_RADIUS**2] = np.inf  # K(u) = 0 exactly
+        k = evaluate_sq(model.kernel, sq, out=sq)  # sq is not needed again
+        sums[0][rows] = k.sum(axis=0)
+        for l in range(d if order >= 1 else 0):
+            sums[1][rows, l] = np.einsum("ij,ij->j", k, u[l])
+            if order == 2:
+                ku = k * u[l]
+                for j in range(l + 1):
+                    sums[2][rows, l, j] = sums[2][rows, j, l] = np.einsum(
+                        "ij,ij->j", ku, u[j])
+    return tuple(sums)
+
+
+def _gradients(model: DensityModel, s1: np.ndarray) -> np.ndarray:
+    """KDE gradients from the first-order kernel sums."""
+    return s1 / (-model.n * model.bandwidth ** (model.dim + 1))
+
+
+def _hessians(model: DensityModel, s0: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """KDE Hessians from the zeroth- and second-order kernel sums."""
+    eye = np.eye(model.dim)
+    return (s2 - s0[:, None, None] * eye) / (
+        model.n * model.bandwidth ** (model.dim + 2))
 
 
 def kernel_value_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:
@@ -115,8 +194,10 @@ def kernel_value_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:
     is a nonnegative recombination of these rows.
     """
     x = _query_matrix(model, queries)
-    u = (x[None, :, :] - model.sample.data[:, None, :]) / model.bandwidth
-    return evaluate_many(model.kernel, u)
+    out = np.empty((model.n, x.shape[0]))
+    for rows, _, sq in _blocks(model, x):
+        evaluate_sq(model.kernel, sq, out=out[:, rows])
+    return out
 
 
 def kernel_laplacian_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:
@@ -124,9 +205,12 @@ def kernel_laplacian_matrix(model: DensityModel, queries: np.ndarray) -> np.ndar
     if not model.kernel.differentiable:
         raise UnsupportedDerivativeError("laplacian requires the Gaussian kernel")
     x = _query_matrix(model, queries)
-    u = (x[None, :, :] - model.sample.data[:, None, :]) / model.bandwidth
-    k = evaluate_many(model.kernel, u)
-    return (np.sum(np.square(u), axis=-1) - model.dim) * k
+    out = np.empty((model.n, x.shape[0]))
+    for rows, _, sq in _blocks(model, x):
+        block = evaluate_sq(model.kernel, sq, out=out[:, rows])
+        sq -= model.dim
+        block *= sq
+    return out
 
 
 def density(model: DensityModel, queries, truncate: bool = False) -> np.ndarray:
@@ -136,19 +220,9 @@ def density(model: DensityModel, queries, truncate: bool = False) -> np.ndarray:
     ``TRUNCATION_RADIUS * h`` are dropped; the result differs from the exact
     sum by less than 1e-6 relative wherever the density is non-negligible.
     """
-    x = _query_matrix(model, queries)
-    h = model.bandwidth
-    scale = model.n * h**model.dim
-    if truncate and model.kernel.family is KernelFamily.GAUSSIAN:
-        out = np.empty(x.shape[0])
-        for j, q in enumerate(x):
-            u = (q[None, :] - model.sample.data) / h
-            sq = np.sum(np.square(u), axis=1)
-            near = sq <= TRUNCATION_RADIUS**2
-            out[j] = np.sum(np.exp(-0.5 * sq[near])) / model.kernel.normalizer / scale
-        return out
-    phi = kernel_value_matrix(model, x)
-    return phi.sum(axis=0) / scale
+    truncate = truncate and model.kernel.family is KernelFamily.GAUSSIAN
+    (s0,) = _kernel_sums(model, _query_matrix(model, queries), 0, truncate=truncate)
+    return s0 / (model.n * model.bandwidth**model.dim)
 
 
 def density_at(model: DensityModel, x, truncate: bool = False) -> float:
@@ -174,18 +248,10 @@ def derivative_at(model: DensityModel, x, beta) -> float:
         raise ValueError(f"derivatives of order {order} > 2 are unsupported")
     if order == 0:
         return density_at(model, x)
-    x = _query_matrix(model, x)[0]
-    h = model.bandwidth
-    u = (x[None, :] - model.sample.data) / h
-    k = evaluate_many(model.kernel, u)
     nz = np.flatnonzero(beta)
     if order == 1:
-        vals = -u[:, nz[0]] * k
-    elif len(nz) == 1:  # beta = 2 e_l
-        vals = (u[:, nz[0]] ** 2 - 1.0) * k
-    else:  # mixed second derivative
-        vals = u[:, nz[0]] * u[:, nz[1]] * k
-    return float(vals.sum() / (model.n * h ** (model.dim + order)))
+        return float(gradient_at(model, x)[nz[0]])
+    return float(hessian_at(model, x)[nz[0], nz[-1]])
 
 
 def gradient_at(model: DensityModel, x) -> np.ndarray:
@@ -196,31 +262,15 @@ def gradient_at(model: DensityModel, x) -> np.ndarray:
 def gradient(model: DensityModel, queries) -> np.ndarray:
     """(m, d) array of KDE gradients."""
     _require_gaussian(model)
-    x = _query_matrix(model, queries)
-    h = model.bandwidth
-    u = (x[None, :, :] - model.sample.data[:, None, :]) / h
-    k = evaluate_many(model.kernel, u)
-    return -np.einsum("nmd,nm->md", u, k) / (model.n * h ** (model.dim + 1))
+    _, s1 = _kernel_sums(model, _query_matrix(model, queries), 1)
+    return _gradients(model, s1)
 
 
 def hessian_at(model: DensityModel, x) -> np.ndarray:
     """Hessian matrix of the KDE at a single point (exactly symmetric)."""
     _require_gaussian(model)
-    x = _query_matrix(model, x)[0]
-    h = model.bandwidth
-    u = (x[None, :] - model.sample.data) / h
-    k = evaluate_many(model.kernel, u)
-    outer = np.einsum("ni,nj,n->ij", u, u, k)
-    hess = (outer - np.eye(model.dim) * k.sum()) / (model.n * h ** (model.dim + 2))
-    return 0.5 * (hess + hess.T)
-
-
-def laplacian_at(model: DensityModel, x) -> float:
-    """Laplacian of the KDE: trace of the Hessian."""
-    _require_gaussian(model)
-    x = _query_matrix(model, x)
-    lap = kernel_laplacian_matrix(model, x).sum(axis=0)
-    return float(lap[0] / (model.n * model.bandwidth ** (model.dim + 2)))
+    s0, _, s2 = _kernel_sums(model, _query_matrix(model, x)[:1], 2)
+    return _hessians(model, s0, s2)[0]
 
 
 def default_axes(model: DensityModel, resolution: int = 256, padding: float = 3.0):

@@ -91,35 +91,37 @@ def _mean_shift_batch(model: DensityModel, points: np.ndarray, tol: float,
     """Iterate the mean-shift update on all rows of ``points`` at once.
 
     Density is nondecreasing along Gaussian mean-shift iterates, so the
-    update needs no step-size control.
+    update needs no step-size control.  A point whose kernel weights all
+    underflow has no defined update: it stays where it is, not converged.
     """
-    data = model.sample.data
     h = model.bandwidth
-    x = np.array(points, dtype=float)
+    x = estimator._query_matrix(model, points).copy()
     active = np.ones(x.shape[0], dtype=bool)
+    stalled = np.zeros(x.shape[0], dtype=bool)
     iters = np.zeros(x.shape[0], dtype=int)
     for _ in range(max_iter):
-        if not active.any():
-            break
-        xa = x[active]
-        diff = (xa[:, None, :] - data[None, :, :]) / h
-        w = np.exp(-0.5 * np.sum(np.square(diff), axis=-1))
-        wsum = w.sum(axis=1)
-        target = (w @ data) / wsum[:, None]
-        step = np.linalg.norm(target - xa, axis=1)
-        x[active] = target
-        iters[active] += 1
-        still = step >= tol
         idx = np.flatnonzero(active)
-        active[idx[~still]] = False
-    return x, ~active, iters
+        if idx.size == 0:
+            break
+        s0, s1 = estimator._kernel_sums(model, x[idx], 1)
+        empty = ~(s0 > 0)
+        stalled[idx[empty]] = True
+        active[idx[empty]] = False
+        idx, s0, s1 = idx[~empty], s0[~empty], s1[~empty]
+        # sum_i K(u_i) (X_i - x) / sum_i K(u_i): the weighted sample mean minus x
+        shift = -h * s1 / s0[:, None]
+        x[idx] += shift
+        iters[idx] += 1
+        active[idx[np.linalg.norm(shift, axis=1) < tol]] = False
+    return x, ~active & ~stalled, iters
 
 
 def mean_shift(model: DensityModel, start, tol: float = 1e-8,
                max_iter: int = 500):
     """Run mean shift from a single start; returns (point, converged, iters).
 
-    Exceeding ``max_iter`` clears the converged flag rather than raising.
+    Exceeding ``max_iter`` clears the converged flag rather than raising, and
+    so does a start so far from the data that every kernel weight underflows.
     """
     if model.kernel.family is not KernelFamily.GAUSSIAN:
         raise ValueError("mean shift requires the Gaussian kernel")
@@ -168,16 +170,14 @@ def find_modes(model: DensityModel, starts=None, tol: float = 1e-8,
     reps, rep_dens, assign = _merge_points(dest, dens, merge_radius)
     assign[~converged] = -1
 
-    keep = []
-    for k in range(reps.shape[0]):
-        lam1 = np.linalg.eigvalsh(estimator.hessian_at(model, reps[k]))[-1]
-        if lam1 < 0:
-            keep.append(k)
-    remap = {old: new for new, old in enumerate(keep)}
-    assignments = np.array([remap.get(a, -1) for a in assign], dtype=int)
+    s0, _, s2 = estimator._kernel_sums(model, reps, 2)
+    lam1 = np.linalg.eigvalsh(estimator._hessians(model, s0, s2))[:, -1]
+    keep = np.flatnonzero(lam1 < 0)
+    remap = np.full(reps.shape[0] + 1, -1)  # the last entry maps -1 to -1
+    remap[keep] = np.arange(keep.size)
     return ModeSet(
         modes=reps[keep], density=rep_dens[keep],
-        assignments=assignments, converged=converged,
+        assignments=remap[assign], converged=converged,
     )
 
 
@@ -214,50 +214,50 @@ def scms(model: DensityModel, starts=None, tol: float = 1e-7,
     if grad_tol is None:
         grad_tol = _grad_tolerance(model)
 
-    data = model.sample.data
     h = model.bandwidth
-    out_points, out_norms, out_lam2 = [], [], []
-    converged = np.zeros(starts.shape[0], dtype=bool)
-    dropped = 0
-    for s in range(starts.shape[0]):
-        x = starts[s].copy()
-        degenerate = False
-        for _ in range(max_iter):
-            diff = (x[None, :] - data) / h
-            w = np.exp(-0.5 * np.sum(np.square(diff), axis=1))
-            target = (w[:, None] * data).sum(axis=0) / w.sum()
-            hess = estimator.hessian_at(model, x)
-            eigvals, eigvecs = np.linalg.eigh(hess)  # ascending
-            if eigvals[-1] - eigvals[-2] < eigen_gap_tol:
-                degenerate = True
-                break
-            v_trailing = eigvecs[:, :-1]  # all but the leading eigenvector
-            step = v_trailing @ (v_trailing.T @ (target - x))
-            x = x + step
-            if np.linalg.norm(step) < tol:
-                converged[s] = True
-                break
-        if degenerate:
-            dropped += 1
-            continue
-        if converged[s]:
-            g = estimator.gradient_at(model, x)
-            hess = estimator.hessian_at(model, x)
-            eigvals, eigvecs = np.linalg.eigh(hess)
-            v_trailing = eigvecs[:, :-1]
-            proj_norm = np.linalg.norm(v_trailing @ (v_trailing.T @ g))
-            lam2 = eigvals[-2]
-            if lam2 < 0 and proj_norm <= grad_tol:
-                out_points.append(x)
-                out_norms.append(proj_norm)
-                out_lam2.append(lam2)
+    x = estimator._query_matrix(model, starts).copy()
+    active = np.ones(x.shape[0], dtype=bool)
+    converged = np.zeros(x.shape[0], dtype=bool)
+    degenerate = np.zeros(x.shape[0], dtype=bool)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        s0, s1, s2 = estimator._kernel_sums(model, x[idx], 2)
+        eigvals, eigvecs = np.linalg.eigh(estimator._hessians(model, s0, s2))
+        flat = eigvals[:, -1] - eigvals[:, -2] < eigen_gap_tol
+        degenerate[idx[flat]] = True
+        active[idx[flat]] = False
+        keep = ~flat
+        idx = idx[keep]
+        v_trailing = eigvecs[keep, :, :-1]  # all but the leading eigenvector
+        shift = -h * s1[keep] / s0[keep, None]  # mean-shift step
+        step = _project(v_trailing, shift)
+        x[idx] += step
+        done = np.linalg.norm(step, axis=1) < tol
+        converged[idx[done]] = True
+        active[idx[done]] = False
+
+    pts = x[converged]
+    s0, s1, s2 = estimator._kernel_sums(model, pts, 2)
+    eigvals, eigvecs = np.linalg.eigh(estimator._hessians(model, s0, s2))
+    proj_norm = np.linalg.norm(
+        _project(eigvecs[:, :, :-1], estimator._gradients(model, s1)), axis=1)
+    lam2 = eigvals[:, -2]
+    ridge = (lam2 < 0) & (proj_norm <= grad_tol)
     return RidgeSet(
-        points=np.array(out_points).reshape(-1, model.dim),
-        projected_grad_norms=np.array(out_norms),
-        lambda2=np.array(out_lam2),
+        points=pts[ridge],
+        projected_grad_norms=proj_norm[ridge],
+        lambda2=lam2[ridge],
         converged=converged,
-        dropped_degenerate=dropped,
+        dropped_degenerate=int(degenerate.sum()),
     )
+
+
+def _project(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows of ``w`` projected onto the column spans of the matrices ``v``:
+    V V^T w, batched over the first axis."""
+    return np.einsum("aij,aj->ai", v, np.einsum("aji,aj->ai", v, w))
 
 
 def _descend(model: DensityModel, start: np.ndarray, step: float,

@@ -30,7 +30,7 @@ ceil((1-alpha) B)-th order statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
@@ -51,11 +51,18 @@ class BootstrapPlan:
     def __post_init__(self):
         if self.replicates < 2:
             raise ValueError("need at least 2 bootstrap replicates")
+        check_seed(self.seed)
 
     def rng(self, r: int) -> np.random.Generator:
         if not 0 <= r < self.replicates:
             raise ValueError(f"replicate index {r} out of range")
-        return np.random.default_rng([int(self.seed) & (2**64 - 1), r])
+        return np.random.default_rng([int(self.seed), r])
+
+
+def check_seed(seed) -> None:
+    """Reject seeds outside [0, 2^64), which would alias other seeds' streams."""
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
 @dataclass(frozen=True)

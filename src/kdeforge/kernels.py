@@ -79,11 +79,19 @@ def evaluate(spec: KernelSpec, u) -> float:
 
 def evaluate_many(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
     """Vectorized kernel evaluation over rows of an (m, d) array."""
-    sq = np.sum(np.square(u), axis=-1)
+    return evaluate_sq(spec, np.sum(np.square(u), axis=-1))
+
+
+def evaluate_sq(spec: KernelSpec, sq: np.ndarray, out=None) -> np.ndarray:
+    """Kernel values K(u) from an array of squared norms sq = ||u||^2,
+    written to ``out`` when it is given."""
     if spec.family is KernelFamily.GAUSSIAN:
-        return np.exp(-0.5 * sq) / spec.normalizer
+        k = np.multiply(sq, -0.5, out=out)
+        np.exp(k, out=k)
+        k /= spec.normalizer
+        return k
     # Closed indicator: the boundary ||u|| = 1 takes the interior value.
-    return (sq <= 1.0) / spec.normalizer
+    return np.divide(sq <= 1.0, spec.normalizer, out=out)
 
 
 def gradient(spec: KernelSpec, u) -> np.ndarray:

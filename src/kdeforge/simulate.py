@@ -160,6 +160,7 @@ def simulate_coverage(truth, n: int, method: str, alpha: float, trials: int,
         truth = parse_truth(truth)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    inference.check_seed(seed)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     target = "true" if method == "band-debiased" else "smoothed"
@@ -172,7 +173,7 @@ def simulate_coverage(truth, n: int, method: str, alpha: float, trials: int,
     hits = 0
     widths = np.empty(trials)
     for t in range(trials):
-        rng = np.random.default_rng([int(seed) & (2**64 - 1), 10_000 + t])
+        rng = np.random.default_rng([int(seed), 10_000 + t])
         sample = truth.sample(rng, n)
         h_t = h if h is not None else bandwidth.rule_of_thumb(sample)
         model = DensityModel(sample, kernel, h_t)

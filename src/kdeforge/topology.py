@@ -36,12 +36,6 @@ class ClusterTree:
     nodes: tuple
 
     @property
-    def leaves(self) -> tuple:
-        # Every node is born at a grid local maximum, so every node is a leaf
-        # of the merge tree.
-        return self.nodes
-
-    @property
     def root(self) -> TreeNode:
         roots = [n for n in self.nodes if n.parent is None]
         assert len(roots) == 1

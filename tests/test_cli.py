@@ -383,3 +383,14 @@ def test_simulate_coverage_deterministic():
     r2 = simulate.simulate_coverage("normal", **kwargs)
     assert r1.coverage == r2.coverage
     assert r1.mean_width == r2.mean_width
+
+
+def test_negative_seed_is_config_error(normal_csv, capsys):
+    with pytest.raises(ValueError, match="seed"):
+        simulate.simulate_coverage("normal", 100, "ci-plugin", 0.1, trials=2,
+                                   seed=-1, replicates=20)
+    assert cli.main(["band", "--input", normal_csv, "--boot", "40",
+                     "--seed", "-1", "--grid", "16"]) == 2
+    assert cli.main(["simulate", "--n", "100", "--trials", "2", "--boot", "20",
+                     "--grid", "16", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err

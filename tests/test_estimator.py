@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from kdeforge import estimator
+from kdeforge import estimator, kernels
 from kdeforge.estimator import DensityModel, Sample
 from kdeforge.kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError
 
@@ -96,7 +97,7 @@ def test_gradient_hessian_laplacian(rng):
     for x in rng.uniform(-2, 2, size=(10, 2)):
         hess = estimator.hessian_at(model, x)
         np.testing.assert_array_equal(hess, hess.T)
-        lap = estimator.laplacian_at(model, x)
+        lap = np.trace(estimator.hessian_at(model, x))
         per_comp = sum(estimator.derivative_at(model, x, b)
                        for b in ([2, 0], [0, 2]))
         assert lap == pytest.approx(per_comp, abs=1e-12)
@@ -173,3 +174,81 @@ def test_sample_validation():
         DensityModel(Sample(np.array([0.0])), GAUSS1, -1.0)
     with pytest.raises(ValueError):
         DensityModel(Sample(np.array([0.0])), GAUSS2, 1.0)
+
+
+# --- the blocked kernel-sum engine ---
+
+
+def dense_sums(model, x):
+    """One-shot reference: the full (n, m, d) offset array, then reductions."""
+    u = (x[None, :, :] - model.sample.data[:, None, :]) / model.bandwidth
+    k = kernels.evaluate_many(model.kernel, u)
+    return (k.sum(axis=0), np.einsum("nm,nmd->md", k, u),
+            np.einsum("nm,nmd,nme->mde", k, u, u), k, u)
+
+
+ENGINE_CASES = [  # (d, n, m); with 64-element blocks, n = 7 gives 9 queries a block
+    (1, 7, 1), (1, 7, 19), (1, 7, 20), (1, 1, 130), (2, 7, 1), (2, 7, 19),
+    (2, 7, 20), (2, 1, 5), (2, 40, 33), (3, 7, 19), (3, 1, 1), (3, 40, 17),
+]
+
+
+@pytest.mark.parametrize("family", [KernelFamily.GAUSSIAN, KernelFamily.SPHERICAL])
+@pytest.mark.parametrize("d,n,m", ENGINE_CASES)
+def test_blocked_sums_match_dense_reference(monkeypatch, rng, family, d, n, m):
+    # Each size fits one block of the default size; with 64-element blocks
+    # they span one to many blocks, with ragged and lone-query tails.
+    data = rng.normal(size=(n, d))
+    x = rng.normal(scale=1.5, size=(m, d))
+    model = DensityModel(Sample(data), KernelSpec(family, d), 0.8)
+    s0_ref, s1_ref, s2_ref, k_ref, u_ref = dense_sums(model, x)
+    for block in (estimator._BLOCK_ELEMENTS, 64):
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        # order 0: bit for bit
+        np.testing.assert_array_equal(estimator._kernel_sums(model, x, 0)[0], s0_ref)
+        np.testing.assert_array_equal(estimator.density(model, x),
+                                      s0_ref / (n * 0.8**d))
+        np.testing.assert_array_equal(estimator.kernel_value_matrix(model, x), k_ref)
+        if family is not KernelFamily.GAUSSIAN:
+            continue
+        np.testing.assert_array_equal(estimator.kernel_laplacian_matrix(model, x),
+                                      (np.sum(u_ref**2, axis=-1) - d) * k_ref)
+        # orders 1 and 2: within 1e-12 of the largest reference entry
+        s0, s1, s2 = estimator._kernel_sums(model, x, 2)
+        np.testing.assert_array_equal(s0, s0_ref)
+        for got, ref in ((s1, s1_ref), (s2, s2_ref)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+        np.testing.assert_allclose(estimator._kernel_sums(model, x, 1)[1], s1_ref,
+                                   rtol=1e-12, atol=1e-12 * np.abs(s1_ref).max())
+        grad_ref = -s1_ref / (n * 0.8 ** (d + 1))
+        np.testing.assert_allclose(estimator.gradient(model, x), grad_ref,
+                                   rtol=1e-12, atol=1e-12 * np.abs(grad_ref).max())
+        hess_ref = (s2_ref[0] - np.eye(d) * s0_ref[0]) / (n * 0.8 ** (d + 2))
+        np.testing.assert_allclose(estimator.hessian_at(model, x[0]), hess_ref,
+                                   rtol=1e-12, atol=1e-12 * np.abs(hess_ref).max())
+
+
+def test_truncated_density_across_blocks(monkeypatch, rng):
+    monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 512)
+    model = DensityModel(Sample(rng.normal(size=(300, 2))), GAUSS2, 0.3)
+    queries = rng.uniform(-4, 4, size=(101, 2))
+    exact = estimator.density(model, queries)
+    fast = estimator.density(model, queries, truncate=True)
+    # each dropped pair weighs below exp(-18) of the kernel peak
+    np.testing.assert_allclose(fast, exact, rtol=1e-6, atol=1e-8 * exact.max())
+    far = 12.0 * np.array([[1.0, 1.0]])
+    assert estimator.density(model, far, truncate=True)[0] == 0.0
+
+
+def test_grid_evaluation_memory_is_bounded(rng):
+    model = DensityModel(Sample(rng.normal(size=(400, 2))), GAUSS2, 0.4)
+    tracemalloc.start()
+    try:
+        grid = estimator.evaluate_grid(model, resolution=256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.values.shape == (256 * 256,)
+    # a dense (n, m, d) offset array alone would take 400 * 256^2 * 2 * 8 B = 420 MB
+    assert peak < 64 * 2**20

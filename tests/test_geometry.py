@@ -58,6 +58,21 @@ def test_mean_shift_nonconvergence_flag(rng):
     assert iters == 2
 
 
+def test_mean_shift_far_start_is_not_converged(rng):
+    # every kernel weight underflows at the start: no update is defined
+    model = DensityModel(Sample(rng.normal(size=(200, 2))), GAUSS2, 0.5)
+    dest, converged, iters = mean_shift(model, [50.0, 50.0])
+    assert not converged
+    assert np.all(np.isfinite(dest))
+    assert iters == 0
+    starts = np.vstack([model.sample.data, [[50.0, 50.0]]])
+    modes = find_modes(model, starts=starts)
+    assert modes.assignments[-1] == -1
+    assert not modes.converged[-1]
+    assert modes.n_modes >= 1
+    assert np.all(modes.assignments[:-1][modes.converged[:-1]] >= 0)
+
+
 # --- mode finding ---
 
 

@@ -45,6 +45,16 @@ def test_plan_validation():
         plan.rng(-1)
 
 
+def test_plan_rejects_seeds_outside_64_bits():
+    # -1 and 2^64 - 1 would otherwise draw the same replicate stream
+    with pytest.raises(ValueError, match="seed"):
+        BootstrapPlan(10, -1)
+    with pytest.raises(ValueError, match="seed"):
+        BootstrapPlan(10, 2**64)
+    top = BootstrapPlan(10, 2**64 - 1).rng(0).integers(0, 2**31, 5)
+    assert not np.array_equal(top, BootstrapPlan(10, 0).rng(0).integers(0, 2**31, 5))
+
+
 def test_replicate_streams_are_deterministic_and_order_free():
     plan = BootstrapPlan(replicates=4, seed=123)
     a = plan.rng(2).integers(0, 100, 10)
@@ -269,8 +279,8 @@ def test_debias_formula(rng):
     deb = debias(model)
     sigma_k2 = 1.0
     for x in np.linspace(-2, 2, 9):
-        expected = (estimator.density_at(model, [x])
-                    - 0.5 * 0.4**2 * sigma_k2 * estimator.laplacian_at(model, [x]))
+        lap = np.trace(estimator.hessian_at(model, [x]))
+        expected = estimator.density_at(model, [x]) - 0.5 * 0.4**2 * sigma_k2 * lap
         assert deb([x]) == pytest.approx(expected, abs=1e-12)
 
 
