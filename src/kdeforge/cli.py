@@ -111,19 +111,12 @@ def _parse_lscv_grid(spec: str) -> np.ndarray:
 
 
 def select_bandwidth(args, sample: Sample, kernel: KernelSpec) -> float:
-    method = args.bandwidth_method
-    if method == "fixed":
-        if args.bandwidth is None or args.bandwidth <= 0:
-            raise ConfigError("--bandwidth-method fixed requires --bandwidth > 0")
-        sel = BandwidthSelector(SelectorMethod.FIXED, fixed_h=args.bandwidth)
-    elif method == "lscv":
-        grid = (_parse_lscv_grid(args.lscv_grid)
-                if args.lscv_grid else None)
-        sel = BandwidthSelector(SelectorMethod.LSCV, lscv_grid=grid)
-    elif method == "plugin":
-        sel = BandwidthSelector(SelectorMethod.AMISE_PLUGIN)
-    else:
-        sel = BandwidthSelector(SelectorMethod.RULE_OF_THUMB)
+    # Selector errors (a missing fixed bandwidth, a bad LSCV grid) are
+    # configuration errors, so the selector is built outside the try below.
+    method = SelectorMethod(args.bandwidth_method)
+    grid = (_parse_lscv_grid(args.lscv_grid)
+            if method is SelectorMethod.LSCV and args.lscv_grid else None)
+    sel = BandwidthSelector(method, fixed_h=args.bandwidth, lscv_grid=grid)
     try:
         return sel.select(sample, kernel)
     except (ValueError, bandwidth.DegenerateSampleError) as exc:

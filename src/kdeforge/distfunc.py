@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import norm
 
+from . import estimator
 from .estimator import DensityModel, Sample
 from .inference import BandResult, BootstrapPlan, empirical_quantile
-from .kernels import KernelFamily, KernelSpec
+from .kernels import KernelSpec, integrated
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class SmoothedCDF:
     """CDF of the KDE for a univariate model; analytic per kernel family."""
 
     model: DensityModel
-    method: str = "analytic"
 
     def __post_init__(self):
         if self.model.dim != 1:
@@ -43,23 +42,24 @@ class SmoothedCDF:
         return float(data.min() - 10 * h), float(data.max() + 10 * h)
 
 
-def _cdf_values(model: DensityModel, x: np.ndarray) -> np.ndarray:
-    data = model.sample.data[:, 0]
-    h = model.bandwidth
-    u = (x[:, None] - data[None, :]) / h
-    if model.kernel.family is KernelFamily.GAUSSIAN:
-        return norm.cdf(u).mean(axis=1)
-    return np.clip((u + 1.0) / 2.0, 0.0, 1.0).mean(axis=1)
+def _cdf_terms(model: DensityModel, xs: np.ndarray) -> np.ndarray:
+    """(n, m) matrix of the integrated kernel at (xs_j - X_i) / h, filled one
+    query block at a time; its mean over the sample is the smoothed CDF."""
+    out = np.empty((model.n, xs.size))
+    for rows, (u,), _ in estimator._blocks(model, xs[:, None]):
+        out[:, rows] = integrated(model.kernel, u)
+    return out
 
 
 def cdf_at(scdf: SmoothedCDF, x) -> float:
     """Smoothed CDF value at a point."""
-    return float(_cdf_values(scdf.model, np.atleast_1d(np.asarray(x, float)))[0])
+    x = np.atleast_1d(np.asarray(x, dtype=float))[:1]
+    return float(_cdf_terms(scdf.model, x).mean(axis=0)[0])
 
 
 def cdf_many(scdf: SmoothedCDF, xs) -> np.ndarray:
     """Vectorized smoothed CDF over a 1-d array of query points."""
-    return _cdf_values(scdf.model, np.asarray(xs, dtype=float).ravel())
+    return _cdf_terms(scdf.model, np.asarray(xs, dtype=float).ravel()).mean(axis=0)
 
 
 def cdf_inverse(scdf: SmoothedCDF, q: float) -> float:
@@ -158,13 +158,8 @@ def roc_band(healthy: Sample, diseased: Sample, kernel: KernelSpec,
     hi = max(xh.max() + 10 * h_healthy, xd.max() + 10 * h_diseased)
     xs = np.linspace(lo, hi, inversion_resolution)
 
-    if kernel.family is KernelFamily.GAUSSIAN:
-        phi_f = norm.cdf((xs[None, :] - xh[:, None]) / h_healthy)
-        phi_g = norm.cdf((xs[None, :] - xd[:, None]) / h_diseased)
-    else:
-        phi_f = np.clip(((xs[None, :] - xh[:, None]) / h_healthy + 1) / 2, 0, 1)
-        phi_g = np.clip(((xs[None, :] - xd[:, None]) / h_diseased + 1) / 2, 0, 1)
-
+    phi_f = _cdf_terms(DensityModel(healthy, kernel, h_healthy), xs)
+    phi_g = _cdf_terms(DensityModel(diseased, kernel, h_diseased), xs)
     f_vals = phi_f.mean(axis=0)
     g_vals = phi_g.mean(axis=0)
     center = _gridded_roc(f_vals, g_vals, xs, t_grid)

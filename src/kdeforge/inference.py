@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import estimator, kernels
 from .estimator import DensityModel, Sample
@@ -135,14 +135,15 @@ def resample_counts(sample: Sample, plan: BootstrapPlan) -> np.ndarray:
     return counts
 
 
-def empirical_quantile(values: np.ndarray, alpha: float) -> float:
-    """The ceil((1-alpha) B)-th order statistic (conservative, no interpolation)."""
+def empirical_quantile(values: np.ndarray, alpha: float) -> float | np.ndarray:
+    """The ceil((1-alpha) B)-th order statistic (conservative, no interpolation)
+    of B values: a float for a (B,) array, an (m,) array of per-column order
+    statistics for a (B, m) array."""
+    _check_alpha(alpha)  # then 1 <= k <= B
     values = np.asarray(values, dtype=float)
-    b = values.size
-    k = math.ceil((1.0 - alpha) * b)
-    if k > b:
-        raise ValueError(f"B={b} too small to resolve the {1 - alpha} quantile")
-    return float(np.sort(values)[k - 1])
+    k = math.ceil((1.0 - alpha) * values.shape[0])
+    q = np.sort(values, axis=0)[k - 1]
+    return float(q) if q.ndim == 0 else q
 
 
 def _check_alpha(alpha: float):
@@ -165,7 +166,7 @@ def ci_plugin(model: DensityModel, grid, alpha: float) -> IntervalResult:
     grid = _as_grid(model.dim, grid)
     center = estimator.density(model, grid)
     mu_k = kernels.constants(model.kernel)["mu_k"]
-    z = norm.ppf(1.0 - alpha / 2.0)
+    z = ndtri(1.0 - alpha / 2.0)
     hw = z * np.sqrt(mu_k * center / (model.n * model.bandwidth**model.dim))
     return IntervalResult(
         grid=grid, center=center, lower=center - hw, upper=center + hw,
@@ -195,7 +196,7 @@ def ci_bootstrap_plugin(model: DensityModel, grid, alpha: float,
     center = estimator.density(model, grid)
     boot = bootstrap_density_matrix(model, grid, plan)
     sd = np.std(boot, axis=0, ddof=1)
-    hw = norm.ppf(1.0 - alpha / 2.0) * sd
+    hw = ndtri(1.0 - alpha / 2.0) * sd
     return IntervalResult(
         grid=grid, center=center, lower=center - hw, upper=center + hw,
         alpha=alpha, method="ci-bootstrap-plugin", degenerate=(hw == 0.0),
@@ -212,7 +213,7 @@ def ci_bootstrap(model: DensityModel, grid, alpha: float,
     center = estimator.density(model, grid)
     boot = bootstrap_density_matrix(model, grid, plan)
     dev = np.abs(boot - center[None, :])
-    c = np.array([empirical_quantile(dev[:, j], alpha) for j in range(grid.shape[0])])
+    c = empirical_quantile(dev, alpha)
     return IntervalResult(
         grid=grid, center=center, lower=center - c, upper=center + c,
         alpha=alpha, method="ci-bootstrap",
@@ -226,14 +227,13 @@ def evt_quantile(alpha: float) -> float:
     return -math.log(-math.log(alpha) / 2.0)
 
 
-def band_plugin_evt(model: DensityModel, grid, alpha: float,
-                    dn_correction: float = 0.0) -> BandResult:
+def band_plugin_evt(model: DensityModel, grid, alpha: float) -> BandResult:
     """Extreme-value plug-in band (d = 1, Gaussian kernel, h < 1).
 
-    Uses the leading-order centering d_n = sqrt(-2 log h) plus a configurable
-    additive correction; the exact second-order centering constant is not
-    implemented.  Convergence to the extreme-value limit is very slow, so the
-    result carries a warning tag and no coverage guarantee at practical n.
+    Uses the leading-order centering d_n = sqrt(-2 log h); the exact
+    second-order centering constant is not implemented.  Convergence to the
+    extreme-value limit is very slow, so the result carries a warning tag and
+    no coverage guarantee at practical n.
     """
     _check_alpha(alpha)
     if model.dim != 1 or model.kernel.family is not KernelFamily.GAUSSIAN:
@@ -245,8 +245,7 @@ def band_plugin_evt(model: DensityModel, grid, alpha: float,
     center = estimator.density(model, grid)
     mu_k = kernels.constants(model.kernel)["mu_k"]
     root = math.sqrt(-2.0 * math.log(h))
-    dn = root + dn_correction
-    factor = dn + evt_quantile(alpha) / root
+    factor = root + evt_quantile(alpha) / root
     hw = np.sqrt(center * mu_k / (model.n * h)) * factor
     return BandResult(
         grid=grid, center=center, lower=center - hw, upper=center + hw,

@@ -1,4 +1,4 @@
-"""Kernel functions, their analytic derivatives, and kernel constants.
+"""Kernel functions, the integrated 1-d kernel, and kernel constants.
 
 Two radially symmetric families are supported:
 
@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 
 class KernelFamily(enum.Enum):
@@ -94,25 +95,14 @@ def evaluate_sq(spec: KernelSpec, sq: np.ndarray, out=None) -> np.ndarray:
     return np.divide(sq <= 1.0, spec.normalizer, out=out)
 
 
-def gradient(spec: KernelSpec, u) -> np.ndarray:
-    """Analytic gradient of K at u (Gaussian only)."""
-    if not spec.differentiable:
-        raise UnsupportedDerivativeError(
-            "spherical kernel is not differentiable at its support boundary"
-        )
-    u = _check_point(spec, u)
-    return -u * evaluate(spec, u)
-
-
-def hessian(spec: KernelSpec, u) -> np.ndarray:
-    """Analytic Hessian of K at u (Gaussian only)."""
-    if not spec.differentiable:
-        raise UnsupportedDerivativeError(
-            "spherical kernel is not differentiable at its support boundary"
-        )
-    u = _check_point(spec, u)
-    k = evaluate(spec, u)
-    return (np.outer(u, u) - np.eye(spec.dim)) * k
+def integrated(spec: KernelSpec, u) -> np.ndarray:
+    """CDF of the 1-d kernel, the integral of K from -inf to u, elementwise:
+    Phi(u) for Gaussian, the ramp clip((u + 1) / 2, 0, 1) for spherical."""
+    if spec.dim != 1:
+        raise ValueError(f"integrated kernel requires d = 1, got {spec.dim}")
+    if spec.family is KernelFamily.GAUSSIAN:
+        return ndtr(u)
+    return np.clip((u + 1.0) / 2.0, 0.0, 1.0)
 
 
 def constants(spec: KernelSpec) -> dict:

@@ -96,19 +96,18 @@ class CoverageReport:
     trials: int
     coverage: float
     mean_width: float
-    runtime_seconds: float
+    runtime_seconds: float  # wall clock; kept out of to_dict for determinism
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "method": self.method,
             "target": self.target,
             "nominal": self.nominal,
             "trials": self.trials,
             "coverage": self.coverage,
             "mean_width": self.mean_width,
-            "runtime_seconds": self.runtime_seconds,
             "metadata": self.metadata,
         }
 

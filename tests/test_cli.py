@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -156,6 +159,15 @@ def test_bandwidth_subcommand(tmp_path, normal_csv, capsys):
                      "lscv", "--lscv-grid", "0.1:1.0:8",
                      "--output", str(out)]) == 0
     assert json.loads(out.read_text())["method"] == "lscv"
+    assert cli.main(["bandwidth", "--input", normal_csv, "--bandwidth-method",
+                     "fixed", "--bandwidth", "0.25", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["bandwidth"] == 0.25
+    # a fixed bandwidth must be positive; a bad LSCV grid is a config error
+    # for LSCV and ignored by every other method
+    bad = ["bandwidth", "--input", normal_csv, "--lscv-grid", "0.1:1.0"]
+    assert cli.main(bad + ["--bandwidth-method", "fixed", "--bandwidth", "0"]) == 2
+    assert cli.main(bad + ["--bandwidth-method", "lscv"]) == 2
+    assert cli.main(bad + ["--bandwidth-method", "plugin"]) == 0
     capsys.readouterr()
 
 
@@ -303,7 +315,7 @@ def test_simulate_subcommand(tmp_path, capsys):
                      "--method", "ci-plugin", "--trials", "5", "--boot", "30",
                      "--grid", "32", "--seed", "11", "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["trials"] == 5
     assert 0.0 <= payload["coverage"] <= 1.0
     assert cli.main(["simulate", "--trials", "2"]) == 2  # seed required
@@ -326,10 +338,7 @@ def test_seeded_outputs_are_byte_identical(tmp_path, normal_csv, capsys):
            "--boot", "25", "--grid", "16", "--seed", "4"]
     assert cli.main(sim + ["--output", str(c)]) == 0
     assert cli.main(sim + ["--output", str(d)]) == 0
-    ca = json.loads(c.read_text())
-    da = json.loads(d.read_text())
-    ca.pop("runtime_seconds"), da.pop("runtime_seconds")
-    assert ca == da
+    assert c.read_bytes() == d.read_bytes()
     capsys.readouterr()
 
 
@@ -394,3 +403,15 @@ def test_negative_seed_is_config_error(normal_csv, capsys):
     assert cli.main(["simulate", "--n", "100", "--trials", "2", "--boot", "20",
                      "--grid", "16", "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+# --- cold start ---
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # a fresh interpreter, since this one may already have scipy.stats loaded
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import sys, kdeforge.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

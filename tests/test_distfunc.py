@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
-from kdeforge import distfunc, estimator
+from kdeforge import distfunc, estimator, kernels
 from kdeforge.distfunc import (
     SmoothedCDF,
     cdf_at,
@@ -93,6 +93,33 @@ def test_cdf_inverse_validation_and_clamping(rng):
     lo, hi = scdf.support
     assert cdf_inverse(scdf, 1e-300) == lo  # below the resolvable range
     assert lo <= cdf_inverse(scdf, 1.0 - 1e-16) <= hi
+
+
+@pytest.mark.parametrize("kernel", [GAUSS1, SPHERE1])
+@pytest.mark.parametrize("n,m", [(7, 1), (7, 19), (7, 20), (1, 130), (40, 33)])
+def test_cdf_terms_match_one_shot_reference(monkeypatch, rng, kernel, n, m):
+    # With 64-element blocks, n = 7 gives 9 queries a block: m = 19 ends in a
+    # lone query that joins the block before it, m = 20 in a ragged pair.
+    data = rng.normal(size=n)
+    xs = rng.normal(scale=1.5, size=m)
+    model = DensityModel(Sample(data), kernel, 0.8)
+    ref = kernels.integrated(kernel, (xs[None, :] - data[:, None]) / 0.8)
+    for block in (estimator._BLOCK_ELEMENTS, 64):
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        np.testing.assert_array_equal(distfunc._cdf_terms(model, xs), ref)
+
+
+@pytest.mark.parametrize("kernel", [GAUSS1, SPHERE1])
+def test_cdf_matches_pairwise_reference(rng, kernel):
+    data = rng.normal(size=20_000)
+    xs = np.linspace(-4.0, 4.0, 64)
+    scdf = SmoothedCDF(DensityModel(Sample(data), kernel, 0.3))
+    # each row of this (m, n) reference is contiguous, so numpy sums it pairwise
+    ref = kernels.integrated(kernel, (xs[:, None] - data[None, :]) / 0.3).mean(axis=1)
+    np.testing.assert_allclose(cdf_many(scdf, xs), ref, rtol=0.0, atol=1e-13)
+    # a single query sums its (n, 1) column pairwise too
+    for j in (0, 20, 41, 63):
+        assert cdf_at(scdf, xs[j]) == ref[j]
 
 
 def test_cdf_close_to_ecdf(rng):

@@ -101,6 +101,9 @@ def test_empirical_quantile_order_statistic():
     assert empirical_quantile(values, 0.5) == 50.0
     # B = 10, alpha = 0.05: ceil(9.5) = 10 -> the maximum
     assert empirical_quantile(np.arange(10.0), 0.05) == 9.0
+    for alpha in (0.0, 1.0, 1.5):  # no order statistic outside (0, 1)
+        with pytest.raises(ValueError, match="alpha"):
+            empirical_quantile(values, alpha)
 
 
 def test_empirical_quantile_no_interpolation():
@@ -119,6 +122,16 @@ def test_empirical_quantile_dominates_fraction(values, alpha):
     count = int(np.sum(np.array(values) <= q))
     assert count >= math.ceil((1.0 - alpha) * len(values))
     assert q in values
+
+
+def test_empirical_quantile_columns_match_scalar_form(rng):
+    values = rng.normal(size=(57, 9))
+    values[:, 3] = 1.0  # ties
+    for alpha in (0.01, 0.05, 0.1, 0.5):
+        got = empirical_quantile(values, alpha)
+        assert got.shape == (9,)
+        np.testing.assert_array_equal(
+            got, [empirical_quantile(values[:, j], alpha) for j in range(9)])
 
 
 # --- pointwise intervals ---

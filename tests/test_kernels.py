@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from kdeforge import kernels
-from kdeforge.kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError
-
-from conftest import fd_gradient, fd_jacobian
+from kdeforge.kernels import KernelFamily, KernelSpec
 
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1)
 GAUSS2 = KernelSpec(KernelFamily.GAUSSIAN, 2)
@@ -42,38 +41,21 @@ def test_nonfinite_rejected():
         kernels.evaluate(GAUSS1, [np.nan])
 
 
-def test_gradient_hessian_at_origin():
-    assert kernels.gradient(GAUSS1, [0.0]) == pytest.approx(0.0)
-    hess = kernels.hessian(GAUSS1, [0.0])
-    assert hess[0, 0] == pytest.approx(-1 / math.sqrt(2 * math.pi))
+@pytest.mark.parametrize("spec", [GAUSS1, SPHERE1])
+def test_integrated_matches_quadrature(spec):
+    # oracle: quadrature of the kernel itself from far in the left tail; the
+    # spherical kernel's jumps at -1 and 1 are passed as breakpoints
+    for u in (-7.0, -1.5, -1.0, -0.3, 0.0, 0.4, 1.0, 2.5):
+        quad, _ = integrate.quad(lambda s: kernels.evaluate(spec, [s]), -12.0, u,
+                                 points=[p for p in (-1.0, 1.0) if -12.0 < p < u],
+                                 limit=200)
+        assert kernels.integrated(spec, np.array([u]))[0] == pytest.approx(
+            quad, abs=1e-10)
 
 
-def test_derivatives_match_finite_differences_pinned_point():
-    u = np.array([0.3, -0.2])
-    f = lambda x: kernels.evaluate(GAUSS2, x)
-    grad = kernels.gradient(GAUSS2, u)
-    hess = kernels.hessian(GAUSS2, u)
-    np.testing.assert_allclose(grad, fd_gradient(f, u), rtol=1e-8)
-    np.testing.assert_allclose(hess, fd_jacobian(lambda x: kernels.gradient(GAUSS2, x), u),
-                               rtol=1e-8)
-
-
-def test_derivatives_match_finite_differences_random(rng):
-    for _ in range(100):
-        u = rng.uniform(-2, 2, size=2)
-        f = lambda x: kernels.evaluate(GAUSS2, x)
-        grad = kernels.gradient(GAUSS2, u)
-        np.testing.assert_allclose(grad, fd_gradient(f, u), rtol=1e-6, atol=1e-12)
-        hess = kernels.hessian(GAUSS2, u)
-        fd_hess = fd_jacobian(lambda x: kernels.gradient(GAUSS2, x), u)
-        np.testing.assert_allclose(hess, fd_hess, rtol=1e-6, atol=1e-12)
-
-
-def test_spherical_derivatives_rejected():
-    with pytest.raises(UnsupportedDerivativeError):
-        kernels.gradient(SPHERE1, [0.3])
-    with pytest.raises(UnsupportedDerivativeError):
-        kernels.hessian(SPHERE1, [0.3])
+def test_integrated_requires_univariate():
+    with pytest.raises(ValueError, match="d = 1"):
+        kernels.integrated(GAUSS2, np.zeros(3))
 
 
 def test_constants_closed_forms():
