@@ -135,8 +135,10 @@ def _require_seed(args):
         raise ConfigError("bootstrap paths require an explicit --seed")
 
 
-def _grid_axis(model: DensityModel, resolution: int) -> np.ndarray:
-    return estimator.default_axes(model, resolution=resolution)[0]
+def _grid_axis(args, model: DensityModel) -> np.ndarray:
+    if model.dim != 1:
+        raise DataError(f"{args.command} requires univariate data")
+    return estimator.default_axes(model, resolution=args.grid)[0]
 
 
 def _write_json(path: str | None, payload: dict):
@@ -192,7 +194,7 @@ def cmd_bandwidth(args):
 
 def cmd_ci(args):
     model = _model(args)
-    axis = _grid_axis(model, args.grid)
+    axis = _grid_axis(args, model)
     if args.method == "plugin":
         result = inference.ci_plugin(model, axis, args.alpha)
     else:
@@ -207,7 +209,7 @@ def cmd_ci(args):
 
 def cmd_band(args):
     model = _model(args)
-    axis = _grid_axis(model, args.grid)
+    axis = _grid_axis(args, model)
     if args.method == "evt":
         result = inference.band_plugin_evt(model, axis, args.alpha)
     elif args.method == "boot":
@@ -234,11 +236,11 @@ def cmd_modes(args):
 
 
 def cmd_levelset(args):
-    model = _model(args)
-    grid = estimator.evaluate_grid(model, resolution=args.grid)
     level = args.level
     if level is None:
         raise ConfigError("levelset requires --lambda")
+    model = _model(args)
+    grid = estimator.evaluate_grid(model, resolution=args.grid)
     ls = geometry.level_set(grid, level)
     header = [f"x{l}" for l in range(model.dim)] + ["in_set", "component"]
     rows = [list(p) + [int(m), int(c)]
@@ -289,10 +291,8 @@ def cmd_persist(args):
 
 def cmd_cdf(args):
     model = _model(args)
-    if model.dim != 1:
-        raise DataError("cdf requires univariate data")
+    axis = _grid_axis(args, model)
     scdf = distfunc.SmoothedCDF(model)
-    axis = _grid_axis(model, args.grid)
     values = distfunc.cdf_many(scdf, axis)
     _write_csv(args.output, ["x", "cdf"], [[x, v] for x, v in zip(axis, values)])
     print(f"cdf: evaluated at {axis.size} points, h={model.bandwidth:.6g}")

@@ -6,8 +6,9 @@
   components under face adjacency.
 * ``scms`` -- subspace-constrained mean shift: the mean-shift step projected
   onto the trailing (d-1) Hessian eigenvectors, converging to density ridges.
-* ``morse_smale`` -- grid partition by the (ascent destination, descent
-  destination) pair of the gradient flow.
+* ``morse_smale`` -- partition of an evaluated grid by the (mode, minimum)
+  pair that each point's discrete steepest-ascent and steepest-descent flows
+  reach; the flows follow neighbour pointers on the grid's own values.
 
 Convergence tolerances are artifact choices: the gradient tolerance defaults
 to 1e-6 * max(grid density) / h and the mode merge radius to h / 2, keeping
@@ -16,6 +17,7 @@ both thresholds scale-aware.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +69,10 @@ class RidgeSet:
 class MorseSmalePartition:
     """Per-grid-point flow destinations and the induced cell labels.
 
-    Descent flows that leave the domain (or fail to converge) get the shared
-    EXTERIOR destination; all such points form a single boundary cell.
+    Descent flows that end on the grid's edge get the shared EXTERIOR
+    destination, and all such points form a single boundary cell.  Ascent
+    flows whose sink mean shift cannot polish to a mode get EXTERIOR too.
+    ``minima`` are grid points.
     """
 
     ascent_ids: np.ndarray
@@ -260,86 +264,76 @@ def _project(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("aij,aj->ai", v, np.einsum("aji,aj->ai", v, w))
 
 
-def _descend(model: DensityModel, start: np.ndarray, step: float,
-             bounds_lo: np.ndarray, bounds_hi: np.ndarray,
-             tol: float, max_steps: int) -> np.ndarray | None:
-    """Fixed-step normalized gradient descent; the step is halved whenever the
-    gradient direction reverses.  Returns the destination, or None when the
-    flow exits the domain or fails to settle."""
-    x = start.copy()
-    prev_dir = None
-    for _ in range(max_steps):
-        g = estimator.gradient(model, x[None, :])[0]
-        gnorm = np.linalg.norm(g)
-        if gnorm == 0.0:
-            return x
-        direction = -g / gnorm
-        if prev_dir is not None and float(direction @ prev_dir) < 0:
-            step *= 0.5
-            if step < tol:
-                return x
-        x = x + step * direction
-        prev_dir = direction
-        if np.any(x < bounds_lo) or np.any(x > bounds_hi):
-            return None
-    return None
+def _flow_sinks(grid: EvalGrid, sign: float) -> np.ndarray:
+    """Flat index of the grid point where each point's discrete steepest flow
+    ends: ascent for ``sign`` = +1, descent for -1.
+
+    Each point points at the neighbour in its 3^d - 1 ring with the largest
+    slope sign * (f(y) - f(x)) / |y - x|, or at itself when no slope is
+    positive, so ties and plateaus stop the flow.  Pointers only ever move
+    strictly up (or down), so pointer jumping reaches every sink.
+    """
+    shape = grid.shape
+    f = sign * grid.values.reshape(shape)
+    idx = np.arange(f.size).reshape(shape)
+    ptr = idx.copy()
+    best = np.zeros(shape)
+    for offset in itertools.product((-1, 0, 1), repeat=f.ndim):
+        if not any(offset):
+            continue
+        here = tuple(slice(max(-o, 0), n - max(o, 0)) for o, n in zip(offset, shape))
+        there = tuple(slice(max(o, 0), n + min(o, 0)) for o, n in zip(offset, shape))
+        dist = np.sqrt(sum(np.ix_(*[(ax[t] - ax[s]) ** 2 for ax, s, t
+                                    in zip(grid.axes, here, there)])))
+        slope = (f[there] - f[here]) / dist
+        steeper = slope > best[here]
+        best[here] = np.where(steeper, slope, best[here])
+        ptr[here] = np.where(steeper, idx[there], ptr[here])
+    ptr = ptr.ravel()
+    while True:
+        jumped = ptr[ptr]
+        if np.array_equal(jumped, ptr):
+            return ptr
+        ptr = jumped
 
 
-def morse_smale(model: DensityModel, grid: EvalGrid, step: float | None = None,
-                tol: float | None = None, max_iter: int = 500,
-                max_steps: int = 2000) -> MorseSmalePartition:
-    """Partition the grid by gradient-flow destinations (d <= 2).
+def morse_smale(model: DensityModel, grid: EvalGrid) -> MorseSmalePartition:
+    """Partition the grid by the sinks of its discrete steepest flows (d <= 2).
 
-    Ascent uses mean shift (which only climbs); descent uses fixed-step
-    gradient descent with step = h / 10.  Interior destinations are merged
-    within h / 2; descent flows leaving the grid domain collapse into one
-    exterior cell.
+    Ascent: the distinct ascent sinks are polished to modes by mean shift and
+    merged within h / 2; a sink whose mean shift does not converge (all its
+    kernel weights underflow) gets EXTERIOR.  Descent: sinks strictly inside
+    the grid are the minima, merged within h / 2; a flow that ends on the
+    grid's edge has left the domain and gets EXTERIOR.  Cells are the distinct
+    (ascent, descent) pairs; all exterior-descent points form one cell.
     """
     if model.dim > 2:
         raise ValueError("grid-based Morse-Smale supports d <= 2 only")
     if model.kernel.family is not KernelFamily.GAUSSIAN:
         raise ValueError("Morse-Smale flows require the Gaussian kernel")
-    h = model.bandwidth
-    if step is None:
-        step = h / 10.0
-    if tol is None:
-        tol = h / 1000.0
-    pts = grid.points
-    lo = np.array([ax[0] for ax in grid.axes])
-    hi = np.array([ax[-1] for ax in grid.axes])
+    radius = model.bandwidth / 2.0
 
-    dest_up, conv_up, _ = _mean_shift_batch(model, pts, tol=1e-8, max_iter=max_iter)
-    dens_up = estimator.density(model, dest_up)
-    modes, _, ascent_ids = _merge_points(dest_up, dens_up, h / 2.0)
-    ascent_ids = ascent_ids.copy()
-    ascent_ids[~conv_up] = EXTERIOR
+    peaks, up = np.unique(_flow_sinks(grid, 1.0), return_inverse=True)
+    dest, converged, _ = _mean_shift_batch(model, grid.points[peaks], tol=1e-8,
+                                           max_iter=500)
+    dest = dest[converged]
+    modes, _, mode_of = _merge_points(dest, estimator.density(model, dest), radius)
+    peak_ids = np.full(peaks.size, EXTERIOR)
+    peak_ids[converged] = mode_of
 
-    down_dests = []
-    descent_raw = np.full(pts.shape[0], EXTERIOR, dtype=int)
-    for j in range(pts.shape[0]):
-        d = _descend(model, pts[j], step, lo, hi, tol, max_steps)
-        if d is not None:
-            down_dests.append((j, d))
-    if down_dests:
-        idx = np.array([j for j, _ in down_dests])
-        dd = np.array([d for _, d in down_dests])
-        # merge by proximity; density ordering is irrelevant for minima
-        minima, _, assign = _merge_points(dd, -estimator.density(model, dd), h / 2.0)
-        descent_raw[idx] = assign
-    else:
-        minima = np.empty((0, model.dim))
+    pits, down = np.unique(_flow_sinks(grid, -1.0), return_inverse=True)
+    inside = np.all([(i > 0) & (i < n - 1) for i, n in
+                     zip(np.unravel_index(pits, grid.shape), grid.shape)], axis=0)
+    minima, _, minimum_of = _merge_points(
+        grid.points[pits[inside]], -grid.values[pits[inside]], radius)
+    pit_ids = np.full(pits.size, EXTERIOR)
+    pit_ids[inside] = minimum_of
 
-    # Cell label: unique (ascent, descent) pair; every exterior-descent point
-    # belongs to the single boundary cell.
-    pair_ids = {}
-    cells = np.empty(pts.shape[0], dtype=int)
-    for j in range(pts.shape[0]):
-        key = "exterior" if descent_raw[j] == EXTERIOR else (
-            int(ascent_ids[j]), int(descent_raw[j]))
-        if key not in pair_ids:
-            pair_ids[key] = len(pair_ids)
-        cells[j] = pair_ids[key]
+    ascent_ids, descent_ids = peak_ids[up], pit_ids[down]
+    pairs = np.column_stack([np.where(descent_ids == EXTERIOR, EXTERIOR, ascent_ids),
+                             descent_ids])
+    _, cells = np.unique(pairs, axis=0, return_inverse=True)
     return MorseSmalePartition(
-        ascent_ids=ascent_ids, descent_ids=descent_raw, cell_labels=cells,
+        ascent_ids=ascent_ids, descent_ids=descent_ids, cell_labels=cells.ravel(),
         modes=modes, minima=minima,
     )

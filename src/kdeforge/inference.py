@@ -115,16 +115,11 @@ class BandResult(IntervalResult):
         return out
 
 
-def resample(sample: Sample, plan: BootstrapPlan, r: int) -> Sample:
-    """The r-th bootstrap resample: n uniform draws with replacement."""
-    idx = plan.rng(r).integers(0, sample.n, sample.n)
-    return Sample(sample.data[idx])
-
-
 def resample_counts(sample: Sample, plan: BootstrapPlan) -> np.ndarray:
-    """(B, n) multiplicity matrix over replicates, consistent with ``resample``.
+    """(B, n) multiplicity matrix over replicates.
 
-    Row r counts how often each original observation appears in replicate r;
+    Row r counts how often each original observation appears in replicate r,
+    the n uniform draws with replacement from ``plan.rng(r)``;
     a bootstrap KDE is then counts @ kernel_value_matrix / (n h^d).
     """
     n = sample.n

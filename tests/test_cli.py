@@ -216,6 +216,15 @@ def test_modes_subcommand(tmp_path, bimodal_csv, capsys):
     assert "found 2 local modes" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["ci", "band"])
+def test_ci_and_band_reject_multivariate_data(tmp_path, rng, capsys, command):
+    p = tmp_path / "bi.csv"
+    p.write_text("x,y\n" + "\n".join(f"{a!r},{b!r}" for a, b in
+                                    rng.normal(size=(50, 2)).tolist()) + "\n")
+    assert cli.main([command, "--input", str(p), "--seed", "3"]) == 3
+    assert f"{command} requires univariate data" in capsys.readouterr().err
+
+
 def test_levelset_subcommand(tmp_path, bimodal_csv, capsys):
     out = tmp_path / "ls.csv"
     assert cli.main(["levelset", "--input", bimodal_csv, "--grid", "128",
@@ -225,9 +234,10 @@ def test_levelset_subcommand(tmp_path, bimodal_csv, capsys):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x0", "in_set", "component"]
-    # missing --lambda is a config error
+    # missing --lambda is a config error, found before the input is read
     assert cli.main(["levelset", "--input", bimodal_csv]) == 2
-    capsys.readouterr()
+    assert cli.main(["levelset", "--input", str(tmp_path / "nope.csv")]) == 2
+    assert "requires --lambda" in capsys.readouterr().err
 
 
 def test_tree_and_persist_subcommands(tmp_path, bimodal_csv, capsys):

@@ -253,6 +253,63 @@ def test_morse_smale_ascent_matches_mode_basins(rng):
     assert set(left) != set(right)
 
 
+def test_morse_smale_four_clusters_one_interior_minimum(rng):
+    corners = 2.5 * np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
+    data = np.concatenate([rng.normal(c, 0.6, size=(40, 2)) for c in corners])
+    model = DensityModel(Sample(data), GAUSS2, 0.8)
+    grid = estimator.evaluate_grid(model, resolution=32)
+    part = morse_smale(model, grid)
+
+    # interior strict minima of the grid under the full 3^2 - 1 ring
+    vals = grid.values.reshape(grid.shape)
+    pad = np.pad(vals, 1, constant_values=np.inf)
+    ring = np.stack([pad[1 + a:33 + a, 1 + b:33 + b] for a in (-1, 0, 1)
+                     for b in (-1, 0, 1) if (a, b) != (0, 0)])
+    is_min = vals < ring.min(axis=0)
+    is_min[[0, -1], :] = is_min[:, [0, -1]] = False
+    assert np.count_nonzero(is_min) == 1
+    assert part.descent_ids[np.flatnonzero(is_min)[0]] == 0
+    assert set(part.descent_ids.tolist()) <= {geometry.EXTERIOR, 0}
+    np.testing.assert_array_equal(part.minima, grid.points[is_min.ravel()])
+
+    assert part.modes.shape[0] == 4
+    reference = find_modes(model).modes
+    for m in part.modes:
+        assert np.min(np.linalg.norm(reference - m, axis=1)) <= model.bandwidth / 2
+    assert set(part.ascent_ids.tolist()) == {0, 1, 2, 3}
+
+    inside = part.descent_ids != geometry.EXTERIOR
+    pairs = set(zip(part.ascent_ids[inside].tolist(), part.descent_ids[inside].tolist()))
+    assert len(set(part.cell_labels[~inside].tolist())) == 1
+    assert len(set(part.cell_labels.tolist())) == len(pairs) + 1
+    for a, d in pairs:
+        same = (part.ascent_ids == a) & (part.descent_ids == d)
+        assert len(set(part.cell_labels[same].tolist())) == 1
+
+
+def test_morse_smale_grid_past_the_data_adds_no_modes(rng):
+    data = bimodal_sample(rng, n=200)
+    model = DensityModel(Sample(data), GAUSS1, 0.8)
+    grid = estimator.evaluate_grid(model, axes=(np.linspace(-80, 80, 321),))
+    far = np.abs(grid.points[:, 0]) > 60
+    assert np.all(grid.values[far] == 0)
+    part = morse_smale(model, grid)
+    assert part.modes.shape[0] == 2
+    # the underflowed plateau has no mode to climb to; every point that has
+    # density flows to one of the two modes
+    assert np.all(part.ascent_ids[far] == geometry.EXTERIOR)
+    assert np.all(part.ascent_ids[grid.values > 0] >= 0)
+
+
+@pytest.mark.parametrize("knob", [{"step": 0.1}, {"max_steps": 100}],
+                         ids=["step", "max_steps"])
+def test_morse_smale_has_no_flow_knobs(rng, knob):
+    model = DensityModel(Sample(bimodal_sample(rng, n=100)), GAUSS1, 0.8)
+    grid = estimator.evaluate_grid(model, resolution=16)
+    with pytest.raises(TypeError):
+        morse_smale(model, grid, **knob)
+
+
 def test_morse_smale_dim_limit(rng):
     data = rng.normal(size=(50, 3))
     model = DensityModel(Sample(data), KernelSpec(KernelFamily.GAUSSIAN, 3), 0.8)

@@ -20,7 +20,6 @@ from kdeforge.inference import (
     debias,
     empirical_quantile,
     evt_quantile,
-    resample,
     resample_counts,
 )
 from kdeforge.kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError
@@ -30,6 +29,12 @@ GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1)
 
 def model_of(data, h):
     return DensityModel(Sample(np.asarray(data, dtype=float)), GAUSS1, h)
+
+
+def resample(sample: Sample, plan: BootstrapPlan, r: int) -> Sample:
+    """The r-th bootstrap resample: n uniform draws with replacement."""
+    idx = plan.rng(r).integers(0, sample.n, sample.n)
+    return Sample(sample.data[idx])
 
 
 # --- bootstrap plan and resampling ---
