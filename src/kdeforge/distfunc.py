@@ -9,7 +9,8 @@ The ROC curve of a two-sample problem (healthy responses with CDF F, diseased
 with CDF G) is ROC(t) = 1 - G(F^{-1}(1 - t)); the smoothed estimator plugs in
 the smoothed CDFs of both samples.  The bootstrap band resamples the two
 groups independently (the two-sample structure leaves no shared index set to
-resample jointly).
+resample jointly): replicate r draws the healthy indices, then the diseased
+ones, from the replicate stream of ``inference``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from . import estimator
+from . import estimator, inference
 from .estimator import DensityModel, Sample
-from .inference import BandResult, BootstrapPlan, empirical_quantile
+from .inference import BandResult, BootstrapPlan
 from .kernels import KernelSpec, integrated
+
+# Points of the tabulation grid on which roc_band inverts the smoothed CDFs.
+_INVERSION_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -136,45 +140,28 @@ def _gridded_roc(f_vals: np.ndarray, g_vals: np.ndarray, xs: np.ndarray,
 
 def roc_band(healthy: Sample, diseased: Sample, kernel: KernelSpec,
              h_healthy: float, h_diseased: float, alpha: float,
-             plan: BootstrapPlan, t_grid=None,
-             inversion_resolution: int = 1024) -> BandResult:
+             plan: BootstrapPlan, t_grid=None) -> BandResult:
     """Bootstrap sup-norm confidence band around the smoothed ROC curve.
 
     Groups are resampled independently per replicate.  Replicate curves (and
     the band center, for consistency) are computed on a fine tabulation grid
     with monotone-interpolation inversion; the band is clipped to [0, 1].
     """
-    if plan.replicates < 20:
-        raise ValueError("need B >= 20 for quantile resolution")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    inference._check_bootstrap(alpha, plan)
     if t_grid is None:
         t_grid = default_t_grid()
     t_grid = np.asarray(t_grid, dtype=float)
+    models = (DensityModel(healthy, kernel, h_healthy),
+              DensityModel(diseased, kernel, h_diseased))
+    (lo_f, hi_f), (lo_g, hi_g) = (SmoothedCDF(m).support for m in models)
+    xs = np.linspace(min(lo_f, lo_g), max(hi_f, hi_g), _INVERSION_POINTS)
 
-    xh = healthy.data[:, 0]
-    xd = diseased.data[:, 0]
-    lo = min(xh.min() - 10 * h_healthy, xd.min() - 10 * h_diseased)
-    hi = max(xh.max() + 10 * h_healthy, xd.max() + 10 * h_diseased)
-    xs = np.linspace(lo, hi, inversion_resolution)
-
-    phi_f = _cdf_terms(DensityModel(healthy, kernel, h_healthy), xs)
-    phi_g = _cdf_terms(DensityModel(diseased, kernel, h_diseased), xs)
-    f_vals = phi_f.mean(axis=0)
-    g_vals = phi_g.mean(axis=0)
-    center = _gridded_roc(f_vals, g_vals, xs, t_grid)
-
-    n, m = xh.size, xd.size
-    sup_dev = np.empty(plan.replicates)
-    for r in range(plan.replicates):
-        rng = plan.rng(r)
-        ch = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
-        cd = np.bincount(rng.integers(0, m, m), minlength=m).astype(float)
-        f_star = ch @ phi_f / n
-        g_star = cd @ phi_g / m
-        roc_star = _gridded_roc(f_star, g_star, xs, t_grid)
-        sup_dev[r] = np.max(np.abs(roc_star - center))
-    c = empirical_quantile(sup_dev, alpha)
+    phis = [_cdf_terms(m, xs) for m in models]
+    center = _gridded_roc(phis[0].mean(axis=0), phis[1].mean(axis=0), xs, t_grid)
+    f_star, g_star = (products / m.n for products, m in
+                      zip(inference._replicate_products(plan, phis), models))
+    boot = np.array([_gridded_roc(f, g, xs, t_grid) for f, g in zip(f_star, g_star)])
+    c = inference._sup_quantile(boot, center, alpha)
     return BandResult(
         grid=t_grid[:, None], center=center,
         lower=np.clip(center - c, 0.0, 1.0),

@@ -190,8 +190,8 @@ def _hessians(model: DensityModel, s0: np.ndarray, s2: np.ndarray) -> np.ndarray
 def kernel_value_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:
     """(n, m) matrix of K((x_q - X_i) / h) for query points x_q.
 
-    Shared by the bootstrap fast paths: a resampled KDE on the same query set
-    is a nonnegative recombination of these rows.
+    The plain bootstrap's per-observation contributions: over n h^d, its
+    column sums are the KDE and a replicate's counts @ it are that replicate's.
     """
     x = _query_matrix(model, queries)
     out = np.empty((model.n, x.shape[0]))

@@ -27,7 +27,7 @@ from . import estimator
 from .estimator import DensityModel, EvalGrid
 from .kernels import KernelFamily
 
-EXTERIOR = -1  # shared descent label for flows leaving the evaluation domain
+EXTERIOR = -1  # shared label for flows that leave the grid or reach no extremum
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ class RidgeSet:
 class MorseSmalePartition:
     """Per-grid-point flow destinations and the induced cell labels.
 
-    Descent flows that end on the grid's edge get the shared EXTERIOR
-    destination, and all such points form a single boundary cell.  Ascent
-    flows whose sink mean shift cannot polish to a mode get EXTERIOR too.
-    ``minima`` are grid points.
+    Descent flows that end on the grid's edge or at zero density get the
+    shared EXTERIOR destination, and all such points form a single boundary
+    cell.  Ascent flows whose sink mean shift cannot polish to a mode get
+    EXTERIOR too.  ``minima`` are grid points.
     """
 
     ascent_ids: np.ndarray
@@ -303,9 +303,9 @@ def morse_smale(model: DensityModel, grid: EvalGrid) -> MorseSmalePartition:
     Ascent: the distinct ascent sinks are polished to modes by mean shift and
     merged within h / 2; a sink whose mean shift does not converge (all its
     kernel weights underflow) gets EXTERIOR.  Descent: sinks strictly inside
-    the grid are the minima, merged within h / 2; a flow that ends on the
-    grid's edge has left the domain and gets EXTERIOR.  Cells are the distinct
-    (ascent, descent) pairs; all exterior-descent points form one cell.
+    the grid with positive density are the minima, merged within h / 2; a
+    flow that ends on the edge or at zero density gets EXTERIOR.  Cells are
+    the distinct (ascent, descent) pairs; exterior-descent points form one.
     """
     if model.dim > 2:
         raise ValueError("grid-based Morse-Smale supports d <= 2 only")
@@ -324,6 +324,7 @@ def morse_smale(model: DensityModel, grid: EvalGrid) -> MorseSmalePartition:
     pits, down = np.unique(_flow_sinks(grid, -1.0), return_inverse=True)
     inside = np.all([(i > 0) & (i < n - 1) for i, n in
                      zip(np.unravel_index(pits, grid.shape), grid.shape)], axis=0)
+    inside &= grid.values[pits] > 0.0
     minima, _, minimum_of = _merge_points(
         grid.points[pits[inside]], -grid.values[pits[inside]], radius)
     pit_ids = np.full(pits.size, EXTERIOR)

@@ -22,6 +22,10 @@ Simultaneous constructions:
                                   true density when h is at the n^(-1/(d+4))
                                   rate.
 
+Every bootstrap here and in ``distfunc.roc_band`` reduces replicate counts @
+per-observation contributions; ``_replicate_products`` multiplies the counts
+in fixed-size blocks of replicates as it draws them, so memory stays bounded.
+
 All sup norms are taken over the evaluation grid, not the continuum; use at
 least ~256 grid points per dimension.  Empirical quantiles are pinned to the
 ceil((1-alpha) B)-th order statistic.
@@ -39,11 +43,17 @@ from . import estimator, kernels
 from .estimator import DensityModel, Sample
 from .kernels import KernelFamily
 
+# A block of replicate counts holds about this many float64 values (16 MB),
+# in whole multiples of _ROW_ALIGN replicates (96 at n = 20 000).
+_COUNT_BLOCK_ELEMENTS = 2**21
+_ROW_ALIGN = 16
+
 
 @dataclass(frozen=True)
 class BootstrapPlan:
-    """Replicate count and seed.  Replicate r draws from the RNG stream
-    derived from (seed, r), so results do not depend on execution order."""
+    """Replicate count and seed.  Replicate r draws each group's n indices
+    with replacement, group after group, from default_rng([seed, r]), so
+    results depend neither on replicate order nor on blocking."""
 
     replicates: int
     seed: int
@@ -115,19 +125,40 @@ class BandResult(IntervalResult):
         return out
 
 
-def resample_counts(sample: Sample, plan: BootstrapPlan) -> np.ndarray:
-    """(B, n) multiplicity matrix over replicates.
+def _count_blocks(plan: BootstrapPlan, sizes):
+    """Yield (rows, counts): a slice of replicates and, per group of size
+    n_k, its float64 counts of how often replicate r draws each observation.
 
-    Row r counts how often each original observation appears in replicate r,
-    the n uniform draws with replacement from ``plan.rng(r)``;
-    a bootstrap KDE is then counts @ kernel_value_matrix / (n h^d).
+    gemm rounds a row by its offset in the BLAS row micro-kernel (4 or 16
+    rows in OpenBLAS) and a one-row product (gemv) differently again, so
+    blocks start at multiples of _ROW_ALIGN and a lone last replicate joins
+    the block before it: block products equal one full product bit for bit.
     """
-    n = sample.n
-    counts = np.empty((plan.replicates, n), dtype=np.float64)
-    for r in range(plan.replicates):
-        idx = plan.rng(r).integers(0, n, n)
-        counts[r] = np.bincount(idx, minlength=n)
-    return counts
+    step = _ROW_ALIGN * max(1, _COUNT_BLOCK_ELEMENTS // (_ROW_ALIGN * sum(sizes)))
+    edges = [*range(0, plan.replicates - 1, step), plan.replicates]
+    for start, stop in zip(edges, edges[1:]):
+        counts = [np.empty((stop - start, n)) for n in sizes]
+        for i, r in enumerate(range(start, stop)):
+            rng = plan.rng(r)
+            for c, n in zip(counts, sizes):
+                c[i] = np.bincount(rng.integers(0, n, n), minlength=n)
+        yield slice(start, stop), counts
+
+
+def _replicate_products(plan: BootstrapPlan, contributions) -> list:
+    """(B, m_k) replicate counts @ contributions for each group's (n_k, m_k)
+    per-observation contributions, filled one block of replicates at a time."""
+    outs = [np.empty((plan.replicates, c.shape[1])) for c in contributions]
+    for rows, counts in _count_blocks(plan, [c.shape[0] for c in contributions]):
+        for out, cnt, contrib in zip(outs, counts, contributions):
+            np.matmul(cnt, contrib, out=out[rows])
+    return outs
+
+
+def resample_counts(sample: Sample, plan: BootstrapPlan) -> np.ndarray:
+    """Replicate r's counts for ``sample`` in row r: the blocks of the count
+    stream stacked, a reference that no bootstrap construction builds."""
+    return np.concatenate([c for _, (c,) in _count_blocks(plan, [sample.n])])
 
 
 def empirical_quantile(values: np.ndarray, alpha: float) -> float | np.ndarray:
@@ -144,6 +175,17 @@ def empirical_quantile(values: np.ndarray, alpha: float) -> float | np.ndarray:
 def _check_alpha(alpha: float):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _check_bootstrap(alpha: float, plan: BootstrapPlan):
+    _check_alpha(alpha)
+    if plan.replicates < 20:
+        raise ValueError("need B >= 20 for quantile resolution")
+
+
+def _sup_quantile(boot: np.ndarray, center: np.ndarray, alpha: float) -> float:
+    """Bootstrap quantile of the sup-norm deviation max_x |boot_r(x) - center(x)|."""
+    return empirical_quantile(np.max(np.abs(boot - center), axis=1), alpha)
 
 
 def _as_grid(model_dim: int, grid) -> np.ndarray:
@@ -169,13 +211,19 @@ def ci_plugin(model: DensityModel, grid, alpha: float) -> IntervalResult:
     )
 
 
+def _plain_bootstrap(model: DensityModel, grid, plan: BootstrapPlan):
+    """The grid, p_hat and the (B, m) bootstrap KDE values from one kernel matrix."""
+    grid = _as_grid(model.dim, grid)
+    phi = estimator.kernel_value_matrix(model, grid)
+    scale = model.n * model.bandwidth**model.dim
+    (boot,) = _replicate_products(plan, [phi])
+    return grid, phi.sum(axis=0) / scale, boot / scale
+
+
 def bootstrap_density_matrix(model: DensityModel, grid: np.ndarray,
                              plan: BootstrapPlan) -> np.ndarray:
     """(B, m) matrix of bootstrap KDE values on the grid."""
-    grid = _as_grid(model.dim, grid)
-    phi = estimator.kernel_value_matrix(model, grid)
-    counts = resample_counts(model.sample, plan)
-    return counts @ phi / (model.n * model.bandwidth**model.dim)
+    return _plain_bootstrap(model, grid, plan)[2]
 
 
 def ci_bootstrap_plugin(model: DensityModel, grid, alpha: float,
@@ -187,9 +235,7 @@ def ci_bootstrap_plugin(model: DensityModel, grid, alpha: float,
     deviation.
     """
     _check_alpha(alpha)
-    grid = _as_grid(model.dim, grid)
-    center = estimator.density(model, grid)
-    boot = bootstrap_density_matrix(model, grid, plan)
+    grid, center, boot = _plain_bootstrap(model, grid, plan)
     sd = np.std(boot, axis=0, ddof=1)
     hw = ndtri(1.0 - alpha / 2.0) * sd
     return IntervalResult(
@@ -201,14 +247,9 @@ def ci_bootstrap_plugin(model: DensityModel, grid, alpha: float,
 def ci_bootstrap(model: DensityModel, grid, alpha: float,
                  plan: BootstrapPlan) -> IntervalResult:
     """Fully bootstrapped interval from per-point deviation quantiles."""
-    _check_alpha(alpha)
-    if plan.replicates < 20:
-        raise ValueError("need B >= 20 for quantile resolution")
-    grid = _as_grid(model.dim, grid)
-    center = estimator.density(model, grid)
-    boot = bootstrap_density_matrix(model, grid, plan)
-    dev = np.abs(boot - center[None, :])
-    c = empirical_quantile(dev, alpha)
+    _check_bootstrap(alpha, plan)
+    grid, center, boot = _plain_bootstrap(model, grid, plan)
+    c = empirical_quantile(np.abs(boot - center), alpha)
     return IntervalResult(
         grid=grid, center=center, lower=center - c, upper=center + c,
         alpha=alpha, method="ci-bootstrap",
@@ -256,14 +297,9 @@ def band_bootstrap(model: DensityModel, grid, alpha: float,
     Valid (asymptotically) for the smoothed density p_h; undercovers the true
     density unless h is undersmoothed.
     """
-    _check_alpha(alpha)
-    if plan.replicates < 20:
-        raise ValueError("need B >= 20 for quantile resolution")
-    grid = _as_grid(model.dim, grid)
-    center = estimator.density(model, grid)
-    boot = bootstrap_density_matrix(model, grid, plan)
-    sup_dev = np.max(np.abs(boot - center[None, :]), axis=1)
-    c = empirical_quantile(sup_dev, alpha)
+    _check_bootstrap(alpha, plan)
+    grid, center, boot = _plain_bootstrap(model, grid, plan)
+    c = _sup_quantile(boot, center, alpha)
     return BandResult(
         grid=grid, center=center, lower=center - c, upper=center + c,
         alpha=alpha, method="band-bootstrap", halfwidth=c,
@@ -315,18 +351,13 @@ def band_debiased_bootstrap(sample: Sample, kernel: kernels.KernelSpec, h: float
     resampled data, so the quantile reflects the fluctuation of the corrected
     curve.  Targets the true density; generally wider than ``band_bootstrap``.
     """
-    _check_alpha(alpha)
-    if plan.replicates < 20:
-        raise ValueError("need B >= 20 for quantile resolution")
+    _check_bootstrap(alpha, plan)
     model = DensityModel(sample, kernel, h)
     grid = _as_grid(model.dim, grid)
-    deb = DebiasedDensity(model)
-    contrib = deb.correction_matrix(grid)
+    contrib = DebiasedDensity(model).correction_matrix(grid)
     center = contrib.sum(axis=0)
-    counts = resample_counts(sample, plan)
-    boot = counts @ contrib
-    sup_dev = np.max(np.abs(boot - center[None, :]), axis=1)
-    c = empirical_quantile(sup_dev, alpha)
+    (boot,) = _replicate_products(plan, [contrib])
+    c = _sup_quantile(boot, center, alpha)
     return BandResult(
         grid=grid, center=center, lower=center - c, upper=center + c,
         alpha=alpha, method="band-debiased", target="true", halfwidth=c,

@@ -63,21 +63,6 @@ class KernelSpec:
         return self.family is KernelFamily.GAUSSIAN
 
 
-def _check_point(spec: KernelSpec, u) -> np.ndarray:
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape[-1] != spec.dim:
-        raise ValueError(f"point dimension {u.shape[-1]} != kernel dim {spec.dim}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("point must be finite")
-    return u
-
-
-def evaluate(spec: KernelSpec, u) -> float:
-    """Kernel value K(u).  Accepts a single point of shape (d,)."""
-    u = _check_point(spec, u)
-    return float(evaluate_many(spec, u[None, :])[0])
-
-
 def evaluate_many(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
     """Vectorized kernel evaluation over rows of an (m, d) array."""
     return evaluate_sq(spec, np.sum(np.square(u), axis=-1))

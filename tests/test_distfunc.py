@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -204,6 +206,50 @@ def test_roc_band_deterministic(rng):
     b2 = roc_band(healthy, diseased, GAUSS1, 0.4, 0.4, 0.1, plan)
     np.testing.assert_array_equal(b1.lower, b2.lower)
     np.testing.assert_array_equal(b1.upper, b2.upper)
+
+
+@pytest.mark.parametrize("kernel", [GAUSS1, SPHERE1], ids=["gaussian", "spherical"])
+def test_roc_band_matches_per_replicate_reference(rng, kernel):
+    # reference on the documented stream: replicate r draws the healthy, then
+    # the diseased indices from plan.rng(r); CDFs of the resampled data are
+    # tabulated one replicate at a time and inverted by interpolation
+    healthy, diseased = rng.normal(0.0, 1.0, 200), rng.normal(1.0, 1.2, 150)
+    hf, hg, alpha = 0.35, 0.45, 0.05
+    plan = BootstrapPlan(replicates=60, seed=77)
+    band = roc_band(Sample(healthy), Sample(diseased), kernel, hf, hg, alpha, plan)
+
+    def cdf(data, h):
+        u = (xs - data[:, None]) / h
+        terms = norm.cdf(u) if kernel is GAUSS1 else np.clip((u + 1.0) / 2.0, 0.0, 1.0)
+        return terms.mean(axis=0)
+
+    def roc(f, g):
+        x = np.interp(np.clip(1.0 - t, f[0], f[-1]), f, xs)
+        out = 1.0 - np.interp(x, xs, g)
+        out[t <= 0.0], out[t >= 1.0] = 0.0, 1.0
+        return out
+
+    t = default_t_grid()
+    lo = min(healthy.min() - 10 * hf, diseased.min() - 10 * hg)
+    hi = max(healthy.max() + 10 * hf, diseased.max() + 10 * hg)
+    xs = np.linspace(lo, hi, distfunc._INVERSION_POINTS)
+    center = roc(cdf(healthy, hf), cdf(diseased, hg))
+    sups = []
+    for r in range(plan.replicates):
+        draw = plan.rng(r)
+        f = cdf(healthy[draw.integers(0, 200, 200)], hf)
+        g = cdf(diseased[draw.integers(0, 150, 150)], hg)
+        sups.append(np.max(np.abs(roc(f, g) - center)))
+    expected = np.sort(sups)[math.ceil((1.0 - alpha) * plan.replicates) - 1]
+    np.testing.assert_allclose(band.center, center, rtol=0, atol=1e-12)
+    assert abs(band.halfwidth - expected) <= 1e-12
+
+
+def test_roc_band_has_no_resolution_knob(rng):
+    s = Sample(rng.normal(size=50))
+    with pytest.raises(TypeError):
+        roc_band(s, s, GAUSS1, 0.3, 0.3, 0.05, BootstrapPlan(replicates=30, seed=0),
+                 inversion_resolution=512)
 
 
 def test_roc_band_validation(rng):

@@ -54,6 +54,19 @@ def test_density_dimension_mismatch():
         estimator.density_at(model, [0.0, 0.0])
 
 
+def test_query_dimension_mismatch():
+    # queries are checked where they enter the estimator, not per kernel call
+    model = gauss_model(np.zeros((3, 2)), 0.5)
+    with pytest.raises(ValueError, match="dimension"):
+        estimator.density(model, [1.0])
+
+
+def test_nonfinite_query_rejected():
+    model = gauss_model([0.0, 1.0], 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        estimator.density(model, [np.nan])
+
+
 def test_truncated_fast_path_agrees(rng):
     model = gauss_model(rng.normal(size=300), 0.4)
     queries = np.linspace(-4, 4, 50)[:, None]

@@ -301,6 +301,21 @@ def test_morse_smale_grid_past_the_data_adds_no_modes(rng):
     assert np.all(part.ascent_ids[grid.values > 0] >= 0)
 
 
+def test_morse_smale_zero_density_plateau_has_no_minima(rng):
+    # a grid far from the data: the density underflows to 0 everywhere, so
+    # no grid point is a minimum and no flow reaches a mode
+    model = DensityModel(Sample(rng.normal(size=(20, 2))), GAUSS2, 0.3)
+    grid = estimator.evaluate_grid(
+        model, axes=(np.linspace(100, 110, 5), np.linspace(100, 110, 6)))
+    assert np.all(grid.values == 0)
+    part = morse_smale(model, grid)
+    assert part.minima.shape[0] == 0
+    assert part.modes.shape[0] == 0
+    assert np.all(part.descent_ids == geometry.EXTERIOR)
+    assert np.all(part.ascent_ids == geometry.EXTERIOR)
+    assert np.unique(part.cell_labels).size == 1
+
+
 @pytest.mark.parametrize("knob", [{"step": 0.1}, {"max_steps": 100}],
                          ids=["step", "max_steps"])
 def test_morse_smale_has_no_flow_knobs(rng, knob):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,84 @@ def test_bootstrap_density_matrix_matches_direct_kde(rng):
         direct = estimator.density(model_of(resample(model.sample, plan, r).data,
                                             0.5), grid[:, None])
         np.testing.assert_allclose(boot[r], direct, atol=1e-12)
+
+
+def one_shot_counts(plan, sizes):
+    """Reference replicate counts per group, one replicate at a time: replicate
+    r draws each group's indices in turn from plan.rng(r)."""
+    counts = [np.empty((plan.replicates, n)) for n in sizes]
+    for r in range(plan.replicates):
+        rng = plan.rng(r)
+        for c, n in zip(counts, sizes):
+            c[r] = np.bincount(rng.integers(0, n, n), minlength=n)
+    return counts
+
+
+@pytest.mark.parametrize("replicates", [2, 16, 17, 33, 40, 100])
+def test_count_blocks_are_aligned_and_never_a_single_replicate(monkeypatch,
+                                                                replicates):
+    # 16-replicate blocks: 17 and 33 leave a lone tail (joined), 40 and 100 a
+    # ragged one
+    monkeypatch.setattr(inference, "_COUNT_BLOCK_ELEMENTS", 16 * 30)
+    plan = BootstrapPlan(replicates, 5)
+    rows = [r for r, _ in inference._count_blocks(plan, [30])]
+    assert rows[0].start == 0 and rows[-1].stop == replicates
+    assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+    assert all(r.start % inference._ROW_ALIGN == 0 for r in rows)
+    assert all(r.stop - r.start >= 2 for r in rows)
+    assert all(r.stop - r.start == 16 for r in rows[:-1])
+
+
+@pytest.mark.parametrize("replicates", [33, 40, 41])
+def test_replicate_products_match_one_shot_reference(monkeypatch, rng, replicates):
+    plan = BootstrapPlan(replicates, 2024)
+    healthy, diseased = Sample(rng.normal(size=30)), Sample(rng.normal(1.0, 1.0, 17))
+    # 33 columns: gemm's column remainder, where row offsets change rounding
+    grid = np.linspace(-3, 3, 33)
+    phi = estimator.kernel_value_matrix(model_of(healthy.data, 0.4), grid[:, None])
+    phi_d = estimator.kernel_value_matrix(model_of(diseased.data, 0.5), grid[:, None])
+    ref = resample_counts(healthy, plan) @ phi
+    ref_h, ref_d = (c @ contrib for c, contrib in
+                    zip(one_shot_counts(plan, [30, 17]), (phi, phi_d)))
+    # default blocks (one block here), then 16-replicate blocks with a lone
+    # (33) or ragged (40, 41) tail
+    for block in (inference._COUNT_BLOCK_ELEMENTS, 16 * 47):
+        monkeypatch.setattr(inference, "_COUNT_BLOCK_ELEMENTS", block)
+        np.testing.assert_array_equal(
+            resample_counts(healthy, plan), one_shot_counts(plan, [30])[0])
+        (got,) = inference._replicate_products(plan, [phi])
+        np.testing.assert_array_equal(got, ref)
+        got_h, got_d = inference._replicate_products(plan, [phi, phi_d])
+        np.testing.assert_array_equal(got_h, ref_h)
+        np.testing.assert_array_equal(got_d, ref_d)
+
+
+def test_plain_bootstrap_center_is_the_density(rng):
+    for spec in (GAUSS1, KernelSpec(KernelFamily.SPHERICAL, 1)):
+        for n, m in ((40, 5), (700, 257), (3000, 256)):
+            model = DensityModel(Sample(rng.normal(size=n)), spec, 0.3)
+            grid = np.linspace(-3, 3, m)
+            plan = BootstrapPlan(21, 4)
+            _, center, boot = inference._plain_bootstrap(model, grid, plan)
+            np.testing.assert_array_equal(center,
+                                          estimator.density(model, grid[:, None]))
+            np.testing.assert_array_equal(boot,
+                                          bootstrap_density_matrix(model, grid, plan))
+
+
+def test_bootstrap_memory_is_bounded(rng):
+    model = model_of(rng.normal(size=20_000), 0.14)
+    grid = np.linspace(-4, 4, 256)
+    plan = BootstrapPlan(1000, 3)
+    for construct in (band_bootstrap, ci_bootstrap):
+        tracemalloc.start()
+        try:
+            construct(model, grid, 0.05, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the stacked counts alone would take 1000 * 20 000 * 8 B = 160 MB
+        assert peak < 80 * 2**20, construct.__name__
 
 
 # --- quantile rule ---

@@ -14,31 +14,37 @@ GAUSS2 = KernelSpec(KernelFamily.GAUSSIAN, 2)
 SPHERE1 = KernelSpec(KernelFamily.SPHERICAL, 1)
 
 
+def kernel_at(spec, point):
+    """K(u) at one point, through the vectorized evaluator."""
+    return float(kernels.evaluate_many(spec, np.array([point], dtype=float))[0])
+
+
 def test_gaussian_origin_d1():
-    assert kernels.evaluate(GAUSS1, [0.0]) == pytest.approx(1 / math.sqrt(2 * math.pi))
-    assert kernels.evaluate(GAUSS1, [0.0]) == pytest.approx(0.3989423, abs=1e-7)
+    assert kernel_at(GAUSS1, [0.0]) == pytest.approx(1 / math.sqrt(2 * math.pi))
+    assert kernel_at(GAUSS1, [0.0]) == pytest.approx(0.3989423, abs=1e-7)
 
 
 def test_spherical_inside_d1():
-    assert kernels.evaluate(SPHERE1, [0.5]) == pytest.approx(0.5)
-    assert kernels.evaluate(SPHERE1, [1.0]) == pytest.approx(0.5)  # closed boundary
-    assert kernels.evaluate(SPHERE1, [1.0001]) == 0.0
+    assert kernel_at(SPHERE1, [0.5]) == pytest.approx(0.5)
+    assert kernel_at(SPHERE1, [1.0]) == pytest.approx(0.5)  # closed boundary
+    assert kernel_at(SPHERE1, [1.0001]) == 0.0
 
 
 def test_gaussian_d2_closed_form():
     expected = math.exp(-0.5) / (2 * math.pi)
-    assert kernels.evaluate(GAUSS2, [1.0, 0.0]) == pytest.approx(expected)
+    assert kernel_at(GAUSS2, [1.0, 0.0]) == pytest.approx(expected)
     assert expected == pytest.approx(0.0965324, abs=1e-7)
 
 
-def test_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
-        kernels.evaluate(GAUSS2, [1.0])
-
-
-def test_nonfinite_rejected():
-    with pytest.raises(ValueError):
-        kernels.evaluate(GAUSS1, [np.nan])
+def test_evaluate_sq_matches_evaluate_many(rng):
+    for spec in (GAUSS1, SPHERE1, GAUSS2, KernelSpec(KernelFamily.SPHERICAL, 2)):
+        u = rng.normal(size=(50, spec.dim))
+        sq = np.sum(np.square(u), axis=-1)
+        want = kernels.evaluate_many(spec, u)
+        np.testing.assert_array_equal(kernels.evaluate_sq(spec, sq), want)
+        out = np.empty(50)
+        assert kernels.evaluate_sq(spec, sq, out=out) is out
+        np.testing.assert_array_equal(out, want)
 
 
 @pytest.mark.parametrize("spec", [GAUSS1, SPHERE1])
@@ -46,7 +52,7 @@ def test_integrated_matches_quadrature(spec):
     # oracle: quadrature of the kernel itself from far in the left tail; the
     # spherical kernel's jumps at -1 and 1 are passed as breakpoints
     for u in (-7.0, -1.5, -1.0, -0.3, 0.0, 0.4, 1.0, 2.5):
-        quad, _ = integrate.quad(lambda s: kernels.evaluate(spec, [s]), -12.0, u,
+        quad, _ = integrate.quad(lambda s: kernel_at(spec, [s]), -12.0, u,
                                  points=[p for p in (-1.0, 1.0) if -12.0 < p < u],
                                  limit=200)
         assert kernels.integrated(spec, np.array([u]))[0] == pytest.approx(
@@ -101,9 +107,9 @@ def test_constants_match_quadrature(spec):
 @given(st.lists(st.floats(-10, 10), min_size=2, max_size=2))
 def test_symmetry_and_nonnegativity(point):
     for spec in (GAUSS2, KernelSpec(KernelFamily.SPHERICAL, 2)):
-        v = kernels.evaluate(spec, point)
+        v = kernel_at(spec, point)
         assert v >= 0
-        assert v == kernels.evaluate(spec, [-point[0], -point[1]])
+        assert v == kernel_at(spec, [-point[0], -point[1]])
 
 
 def test_normalizers():
