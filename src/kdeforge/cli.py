@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -150,19 +149,19 @@ def _write_json(path: str | None, payload: dict):
         print(text)
 
 
-def _write_csv(path: str | None, header: list, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        # repr(float(...)) keeps full precision and avoids numpy scalar reprs
-        writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                         for v in row])
+def _write_csv(path: str | None, header: list, columns):
+    """Write equal-length columns under ``header``, one row format for all
+    rows: integer and boolean columns as integers, the rest as the repr of a
+    Python float (full precision, no numpy scalar reprs)."""
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%d" if c.dtype.kind in "biu" else "%r" for c in columns) + "\n"
+    text = ",".join(header) + "\n" + "".join(
+        map(fmt.__mod__, zip(*[c.tolist() for c in columns])))
     if path:
         with open(path, "w") as fh:
-            fh.write(buf.getvalue())
+            fh.write(text)
     else:
-        print(buf.getvalue(), end="")
+        print(text, end="")
 
 
 def cmd_density(args):
@@ -177,8 +176,7 @@ def cmd_density(args):
         })
     else:
         header = [f"x{l}" for l in range(model.dim)] + ["density"]
-        rows = [list(p) + [v] for p, v in zip(grid.points, grid.values)]
-        _write_csv(args.output, header, rows)
+        _write_csv(args.output, header, [*grid.points.T, grid.values])
     print(f"density: n={model.n} d={model.dim} h={model.bandwidth:.6g} "
           f"grid={grid.values.size}")
 
@@ -230,8 +228,7 @@ def cmd_modes(args):
     model = _model(args)
     modes = geometry.find_modes(model, tol=args.tol, max_iter=args.max_iter)
     header = [f"x{l}" for l in range(model.dim)] + ["density"]
-    rows = [list(m) + [d] for m, d in zip(modes.modes, modes.density)]
-    _write_csv(args.output, header, rows)
+    _write_csv(args.output, header, [*modes.modes.T, modes.density])
     print(f"modes: found {modes.n_modes} local modes")
 
 
@@ -243,9 +240,8 @@ def cmd_levelset(args):
     grid = estimator.evaluate_grid(model, resolution=args.grid)
     ls = geometry.level_set(grid, level)
     header = [f"x{l}" for l in range(model.dim)] + ["in_set", "component"]
-    rows = [list(p) + [int(m), int(c)]
-            for p, m, c in zip(grid.points, ls.mask.ravel(), ls.labels.ravel())]
-    _write_csv(args.output, header, rows)
+    _write_csv(args.output, header,
+               [*grid.points.T, ls.mask.ravel(), ls.labels.ravel()])
     print(f"levelset: lambda={level:.6g} components={ls.n_components}")
 
 
@@ -253,9 +249,8 @@ def cmd_ridge(args):
     model = _model(args)
     ridge = geometry.scms(model, tol=args.tol, max_iter=args.max_iter)
     header = [f"x{l}" for l in range(model.dim)] + ["proj_grad_norm", "lambda2"]
-    rows = [list(p) + [g, l] for p, g, l in
-            zip(ridge.points, ridge.projected_grad_norms, ridge.lambda2)]
-    _write_csv(args.output, header, rows)
+    _write_csv(args.output, header,
+               [*ridge.points.T, ridge.projected_grad_norms, ridge.lambda2])
     print(f"ridge: {ridge.points.shape[0]} ridge points "
           f"({int(ridge.converged.sum())}/{ridge.converged.size} starts converged)")
 
@@ -265,9 +260,8 @@ def cmd_morse(args):
     grid = estimator.evaluate_grid(model, resolution=args.grid)
     part = geometry.morse_smale(model, grid)
     header = [f"x{l}" for l in range(model.dim)] + ["ascent", "descent", "cell"]
-    rows = [list(p) + [int(a), int(d), int(c)] for p, a, d, c in
-            zip(grid.points, part.ascent_ids, part.descent_ids, part.cell_labels)]
-    _write_csv(args.output, header, rows)
+    _write_csv(args.output, header, [*grid.points.T, part.ascent_ids,
+                                     part.descent_ids, part.cell_labels])
     print(f"morse: {len(set(part.cell_labels.tolist()))} cells, "
           f"{part.modes.shape[0]} modes")
 
@@ -284,8 +278,7 @@ def cmd_persist(args):
     model = _model(args)
     grid = estimator.evaluate_grid(model, resolution=args.grid)
     diagram = topology.persistence_diagram(topology.cluster_tree(grid))
-    _write_csv(args.output, ["birth", "death"],
-               [[b, d] for b, d in diagram.pairs])
+    _write_csv(args.output, ["birth", "death"], diagram.pairs.T)
     print(f"persist: {diagram.pairs.shape[0]} pairs (dim 0)")
 
 
@@ -294,7 +287,7 @@ def cmd_cdf(args):
     axis = _grid_axis(args, model)
     scdf = distfunc.SmoothedCDF(model)
     values = distfunc.cdf_many(scdf, axis)
-    _write_csv(args.output, ["x", "cdf"], [[x, v] for x, v in zip(axis, values)])
+    _write_csv(args.output, ["x", "cdf"], [axis, values])
     print(f"cdf: evaluated at {axis.size} points, h={model.bandwidth:.6g}")
 
 
@@ -311,14 +304,12 @@ def cmd_roc(args):
         plan = inference.BootstrapPlan(args.boot, args.seed)
         band = distfunc.roc_band(healthy, diseased, kernel, h_f, h_g,
                                  args.alpha, plan, t_grid)
-        rows = [[t, c, lo, up] for t, c, lo, up in
-                zip(t_grid, band.center, band.lower, band.upper)]
-        _write_csv(args.output, ["t", "roc", "lower", "upper"], rows)
+        _write_csv(args.output, ["t", "roc", "lower", "upper"],
+                   [t_grid, band.center, band.lower, band.upper])
         print(f"roc: groups=({lab_h},{lab_d}) band halfwidth={band.halfwidth:.6g}")
     else:
         curve = distfunc.roc_curve(healthy, diseased, kernel, h_f, h_g, t_grid)
-        rows = [[t, v] for t, v in zip(curve.t, curve.values)]
-        _write_csv(args.output, ["t", "roc"], rows)
+        _write_csv(args.output, ["t", "roc"], [curve.t, curve.values])
         print(f"roc: groups=({lab_h},{lab_d}) curve on {t_grid.size} points")
 
 

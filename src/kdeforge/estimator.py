@@ -4,27 +4,42 @@ The estimator is p_hat(x) = (1 / (n h^d)) * sum_i K((x - X_i) / h).  Partial
 derivatives up to order two are computed from the analytic Gaussian kernel
 derivatives, scaled by 1 / (n h^(d + |beta|)).
 
-Every evaluation goes through one engine, ``_kernel_sums``: it walks the
-queries in blocks whose (n, block) temporaries hold about _BLOCK_ELEMENTS
-values, so memory stays bounded whatever the number of queries, and it keeps
-the exact difference form (x - X_i) / h.
+Evaluation at arbitrary queries goes through one engine, ``_kernel_sums``:
+it walks the queries in blocks whose (n, block) temporaries hold about
+_BLOCK_ELEMENTS values, so memory stays bounded whatever the number of
+queries, and it keeps the exact difference form (x - X_i) / h.
+
+Gaussian tensor grids take a second path, ``_factor_sums``.  The
+Gaussian kernel is a product of 1-d kernels, so on a grid with axes a_l the
+kernel sum is a contraction of one (n, G_l) factor matrix phi((a_l - X_il) / h)
+per axis (product kernels, Wand & Jones 1995, *Kernel Smoothing*, ch. 4); no
+(n, G_1 ... G_d) kernel block is built.  It is exact but for factors too small
+to matter (see _FLUSH_EXPONENT).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError, evaluate_sq
 
-# Gaussian mass beyond 6 standard deviations is < 1e-8 of the kernel peak,
-# so truncating at this radius changes grid densities by < 1e-8 relative.
+# Gaussian mass beyond 6 standard deviations is < 1e-8 of the kernel peak.
+# No evaluation truncates; perfbench/spans.py counts the kernel pairs within
+# this radius for its near-pair ratio.
 TRUNCATION_RADIUS = 6.0
 
 # Each (n, block) temporary of the kernel-sum engine holds about this many
 # float64 values (2 MB), whatever the number of queries.
 _BLOCK_ELEMENTS = 2**18
+
+# The grid path sets per-axis factors below exp(-_FLUSH_EXPONENT / d) to 0, so
+# no product of d factors is subnormal (subnormal arithmetic runs many times
+# slower, in exp and in the BLAS product).  A flushed pair weighs less than
+# that, at most 1e-101 of the kernel peak.
+_FLUSH_EXPONENT = 700.0
 
 
 @dataclass(frozen=True)
@@ -147,22 +162,18 @@ def _blocks(model: DensityModel, x: np.ndarray):
         start = stop
 
 
-def _kernel_sums(model: DensityModel, x: np.ndarray, order: int,
-                 truncate: bool = False):
+def _kernel_sums(model: DensityModel, x: np.ndarray, order: int):
     """Kernel sums over the sample at each query, with u_i = (x - X_i) / h:
 
     s0 = sum_i K(u_i) (m,), s1 = sum_i K(u_i) u_i (m, d) and
     s2 = sum_i K(u_i) u_i u_i^T (m, d, d); returns (s0, ..., s_order).
 
     ``x`` is an (m, d) array of finite queries (see ``_query_matrix``).  No
-    (n, m, d) array is built.  With ``truncate``, pairs with
-    ||u|| > TRUNCATION_RADIUS contribute nothing.
+    (n, m, d) array is built.
     """
     m, d = x.shape
     sums = [np.empty((m,) + (d,) * k) for k in range(order + 1)]
     for rows, u, sq in _blocks(model, x):
-        if truncate:
-            sq[sq > TRUNCATION_RADIUS**2] = np.inf  # K(u) = 0 exactly
         k = evaluate_sq(model.kernel, sq, out=sq)  # sq is not needed again
         sums[0][rows] = k.sum(axis=0)
         for l in range(d if order >= 1 else 0):
@@ -213,21 +224,15 @@ def kernel_laplacian_matrix(model: DensityModel, queries: np.ndarray) -> np.ndar
     return out
 
 
-def density(model: DensityModel, queries, truncate: bool = False) -> np.ndarray:
-    """KDE values at an (m, d) array of query points.
-
-    With ``truncate`` set, Gaussian kernel contributions beyond
-    ``TRUNCATION_RADIUS * h`` are dropped; the result differs from the exact
-    sum by less than 1e-6 relative wherever the density is non-negligible.
-    """
-    truncate = truncate and model.kernel.family is KernelFamily.GAUSSIAN
-    (s0,) = _kernel_sums(model, _query_matrix(model, queries), 0, truncate=truncate)
+def density(model: DensityModel, queries) -> np.ndarray:
+    """KDE values at an (m, d) array of query points."""
+    (s0,) = _kernel_sums(model, _query_matrix(model, queries), 0)
     return s0 / (model.n * model.bandwidth**model.dim)
 
 
-def density_at(model: DensityModel, x, truncate: bool = False) -> float:
+def density_at(model: DensityModel, x) -> float:
     """KDE value at a single point."""
-    return float(density(model, x, truncate=truncate)[0])
+    return float(density(model, x)[0])
 
 
 def _require_gaussian(model: DensityModel):
@@ -290,12 +295,57 @@ def grid_points(axes) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _factor_sums(model: DensityModel, axes, second: int | None = None) -> np.ndarray:
+    """Gaussian kernel sums over the sample on the tensor grid ``axes``.
+
+    Returns the (G_1, ..., G_d) array of sum_i prod_l f(u_il) over the grid
+    points (a_1, ..., a_d), with u_il = (a_l - X_il) / h, f(t) = exp(-t^2 / 2)
+    and, on axis ``second`` when it is given, f(t) = (t^2 - 1) exp(-t^2 / 2);
+    the normalizer (2 pi)^(d/2) is left to the caller.  The sum runs over
+    blocks of sample rows whose factor matrices and partial products hold
+    about _BLOCK_ELEMENTS values each: per block, A.sum(0) in 1-d, A.T @ B in
+    2-d, and in d > 2 the row-wise outer product of all but the last factor
+    times the last.
+    """
+    data = model.sample.data
+    h = model.bandwidth
+    sizes = [ax.size for ax in axes]
+    step = max(1, _BLOCK_ELEMENTS // max(1, *sizes, math.prod(sizes[:-1])))
+    flush_sq = 2.0 * _FLUSH_EXPONENT / len(axes)
+    total = 0.0
+    for start in range(0, data.shape[0], step):
+        factors = []
+        for l, ax in enumerate(axes):
+            sq = ax - data[start:start + step, l:l + 1]
+            sq /= h
+            sq *= sq
+            f = np.exp(-0.5 * np.minimum(sq, flush_sq))  # never subnormal
+            f[sq > flush_sq] = 0.0
+            if l == second:
+                f *= sq - 1.0
+            factors.append(f)
+        head = factors[0]
+        for f in factors[1:-1]:
+            head = (head[:, :, None] * f[:, None, :]).reshape(head.shape[0], -1)
+        total += head.sum(axis=0) if len(axes) == 1 else head.T @ factors[-1]
+    return np.reshape(total, sizes)
+
+
 def evaluate_grid(model: DensityModel, axes=None, resolution: int = 256) -> EvalGrid:
-    """Evaluate the KDE on a tensor-product grid (row-major over axes)."""
+    """Evaluate the KDE on a tensor-product grid (row-major over axes).
+
+    Gaussian grids are products of per-axis factors (``_factor_sums``); other
+    kernels go through the engine at every grid point.
+    """
     if axes is None:
         axes = default_axes(model, resolution=resolution)
     axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
     if len(axes) != model.dim:
         raise ValueError(f"expected {model.dim} axes, got {len(axes)}")
     pts = grid_points(axes)
-    return EvalGrid(axes=axes, points=pts, values=density(model, pts))
+    if model.kernel.family is KernelFamily.GAUSSIAN:
+        values = _factor_sums(model, axes).ravel()
+        values /= model.n * model.bandwidth**model.dim * model.kernel.normalizer
+    else:
+        values = density(model, pts)
+    return EvalGrid(axes=axes, points=pts, values=values)

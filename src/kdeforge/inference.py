@@ -323,12 +323,20 @@ class DebiasedDensity:
         self.sigma_k2 = kernels.constants(model.kernel)["sigma_k2"]
 
     def correction_matrix(self, grid: np.ndarray) -> np.ndarray:
-        """(n, m) per-observation contributions to p_tilde on the grid."""
+        """(n, m) per-observation contributions to p_tilde on the grid,
+        K(u) (1 - sigma_k2 (||u||^2 - d) / 2) / (n h^d) at u = (x_q - X_i) / h,
+        filled in place from one kernel pass over the query blocks."""
         m = self.model
-        h = m.bandwidth
-        phi = estimator.kernel_value_matrix(m, grid)
-        lap = estimator.kernel_laplacian_matrix(m, grid)
-        return (phi - 0.5 * self.sigma_k2 * lap) / (m.n * h**m.dim)
+        x = estimator._query_matrix(m, grid)
+        out = np.empty((m.n, x.shape[0]))
+        for rows, _, sq in estimator._blocks(m, x):
+            block = kernels.evaluate_sq(m.kernel, sq, out=out[:, rows])
+            sq -= m.dim
+            sq *= -0.5 * self.sigma_k2
+            sq += 1.0
+            block *= sq
+            block /= m.n * m.bandwidth**m.dim
+        return out
 
     def evaluate(self, queries) -> np.ndarray:
         grid = _as_grid(self.model.dim, queries)

@@ -17,7 +17,7 @@ from kdeforge.bandwidth import (
     rule_of_thumb,
 )
 from kdeforge.estimator import DensityModel, Sample
-from kdeforge.kernels import KernelFamily, KernelSpec
+from kdeforge.kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError
 
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1)
 
@@ -150,6 +150,35 @@ def test_curvature_functional_normal_reference():
     model = DensityModel(Sample(data), GAUSS1, h)
     truth = 3.0 / (8.0 * math.sqrt(math.pi) * (1.0 + h * h) ** 2.5)
     assert laplacian_squared_integral(model) == pytest.approx(truth, rel=0.01)
+
+
+def matrix_curvature(model, resolution=512):
+    """The curvature functional from the (n, m) Laplacian matrix on the same
+    quadrature grid, summed over the sample."""
+    res = resolution if model.dim == 1 else min(resolution, 128)
+    axes = estimator.default_axes(model, resolution=res, padding=4.0)
+    lap = estimator.kernel_laplacian_matrix(model, estimator.grid_points(axes))
+    lap = lap.sum(axis=0) / (model.n * model.bandwidth ** (model.dim + 2))
+    sq = np.square(lap).reshape(tuple(ax.size for ax in axes))
+    for ax in reversed(axes):
+        sq = np.trapezoid(sq, ax, axis=-1)
+    return float(sq)
+
+
+@pytest.mark.parametrize("d,n,h", [(1, 1, 0.5), (1, 3000, 0.2), (2, 1, 0.5),
+                                   (2, 800, 0.4)])
+def test_curvature_factor_path_matches_laplacian_matrix(rng, d, n, h):
+    model = DensityModel(Sample(rng.normal(size=(n, d))),
+                         KernelSpec(KernelFamily.GAUSSIAN, d), h)
+    assert laplacian_squared_integral(model) == pytest.approx(
+        matrix_curvature(model), rel=1e-12)
+
+
+def test_curvature_requires_the_gaussian_kernel(rng):
+    model = DensityModel(Sample(rng.normal(size=50)),
+                         KernelSpec(KernelFamily.SPHERICAL, 1), 0.5)
+    with pytest.raises(UnsupportedDerivativeError):
+        laplacian_squared_integral(model)
 
 
 def test_amise_optimal_h_normal_reference():

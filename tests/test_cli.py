@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -317,6 +318,70 @@ def test_roc_subcommand(tmp_path, grouped_csv, capsys):
 
     assert cli.main(["roc", "--input", grouped_csv]) == 2  # no --group-col
     capsys.readouterr()
+
+
+@pytest.fixture
+def bivariate_csv(tmp_path, rng):
+    path = tmp_path / "bivariate.csv"
+    data = np.concatenate([rng.normal(-2.0, 0.7, (60, 2)), rng.normal(2.0, 0.7, (60, 2))])
+    path.write_text("x,y\n" + "\n".join(f"{float(a)!r},{float(b)!r}" for a, b in data)
+                    + "\n")
+    return str(path)
+
+
+INT_COLUMNS = {"in_set", "component", "ascent", "descent", "cell"}
+
+
+def reference_csv(header, columns) -> bytes:
+    """csv.writer over per-row lists: integer columns as ints, every other
+    cell as repr(float(v))."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([int(v) if name in INT_COLUMNS else repr(float(v))
+                         for name, v in zip(header, row)])
+    return buf.getvalue().encode()
+
+
+CSV_ARTIFACTS = [  # (subcommand, input fixture, extra arguments)
+    ("density", "normal_csv", ["--grid", "40"]),
+    ("density", "bivariate_csv", ["--grid", "12"]),
+    ("modes", "bimodal_csv", []),
+    ("levelset", "bivariate_csv", ["--grid", "16", "--lambda", "0.02"]),
+    ("ridge", "bivariate_csv", []),
+    ("morse", "bivariate_csv", ["--grid", "12"]),
+    ("persist", "bimodal_csv", ["--grid", "64"]),
+    ("cdf", "normal_csv", ["--grid", "50"]),
+    ("roc", "grouped_csv", ["--group-col", "status", "--grid", "21"]),
+    ("roc", "grouped_csv", ["--group-col", "status", "--grid", "21",
+                            "--seed", "5", "--boot", "30"]),
+]
+
+
+@pytest.mark.parametrize("command,fixture,extra", CSV_ARTIFACTS)
+def test_csv_artifacts_match_csv_writer_reference(tmp_path, monkeypatch, request,
+                                                  capsys, command, fixture, extra):
+    written = []
+    write_csv = cli._write_csv
+
+    def spy(path, header, columns):
+        written.append((header, [np.asarray(c) for c in columns]))
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    out = tmp_path / "out.csv"
+    argv = [command, "--input", request.getfixturevalue(fixture), *extra,
+            "--output", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    ((header, columns),) = written
+    assert len(columns) == len(header) and len(columns[0]) > 0
+    assert out.read_bytes() == reference_csv(header, columns)
+    if command == "roc" and "--seed" in extra:
+        assert header == ["t", "roc", "lower", "upper"]
+    if command == "levelset":
+        assert set(columns[2].tolist()) == {False, True}
 
 
 def test_simulate_subcommand(tmp_path, capsys):

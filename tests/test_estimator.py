@@ -67,14 +67,6 @@ def test_nonfinite_query_rejected():
         estimator.density(model, [np.nan])
 
 
-def test_truncated_fast_path_agrees(rng):
-    model = gauss_model(rng.normal(size=300), 0.4)
-    queries = np.linspace(-4, 4, 50)[:, None]
-    exact = estimator.density(model, queries)
-    fast = estimator.density(model, queries, truncate=True)
-    np.testing.assert_allclose(fast, exact, rtol=1e-6, atol=1e-12)
-
-
 def test_derivative_single_point():
     model = gauss_model([0.0], 1.0)
     assert estimator.derivative_at(model, [0.0], [1]) == pytest.approx(0.0, abs=1e-15)
@@ -242,18 +234,6 @@ def test_blocked_sums_match_dense_reference(monkeypatch, rng, family, d, n, m):
                                    rtol=1e-12, atol=1e-12 * np.abs(hess_ref).max())
 
 
-def test_truncated_density_across_blocks(monkeypatch, rng):
-    monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 512)
-    model = DensityModel(Sample(rng.normal(size=(300, 2))), GAUSS2, 0.3)
-    queries = rng.uniform(-4, 4, size=(101, 2))
-    exact = estimator.density(model, queries)
-    fast = estimator.density(model, queries, truncate=True)
-    # each dropped pair weighs below exp(-18) of the kernel peak
-    np.testing.assert_allclose(fast, exact, rtol=1e-6, atol=1e-8 * exact.max())
-    far = 12.0 * np.array([[1.0, 1.0]])
-    assert estimator.density(model, far, truncate=True)[0] == 0.0
-
-
 def test_grid_evaluation_memory_is_bounded(rng):
     model = DensityModel(Sample(rng.normal(size=(400, 2))), GAUSS2, 0.4)
     tracemalloc.start()
@@ -265,3 +245,83 @@ def test_grid_evaluation_memory_is_bounded(rng):
     assert grid.values.shape == (256 * 256,)
     # a dense (n, m, d) offset array alone would take 400 * 256^2 * 2 * 8 B = 420 MB
     assert peak < 64 * 2**20
+
+
+# --- the separable Gaussian grid path ---
+
+# (d, n, grid shape).  With 64-element blocks, (2, 50, (1, 17)) walks 16 blocks
+# of 3 rows and one of 2, and (2, 50, (16, 1)) 12 blocks of 4 and one of 2.
+FACTOR_CASES = [
+    (1, 1, (37,)), (1, 50, (1,)), (1, 50, (200,)), (2, 1, (9, 13)),
+    (2, 50, (1, 17)), (2, 50, (16, 1)), (2, 60, (24, 31)), (3, 1, (5, 4, 3)),
+    (3, 40, (7, 1, 6)), (3, 40, (9, 8, 7)),
+]
+
+
+def engine_grid(model, axes):
+    return estimator.density(model, estimator.grid_points(axes))
+
+
+@pytest.mark.parametrize("d,n,shape", FACTOR_CASES)
+def test_factor_grid_matches_engine(monkeypatch, rng, d, n, shape):
+    data = rng.normal(size=(n, d))
+    model = DensityModel(Sample(data), KernelSpec(KernelFamily.GAUSSIAN, d), 0.7)
+    axes = tuple(np.sort(rng.uniform(-3, 3, size=g)) for g in shape)
+    ref = engine_grid(model, axes)
+    # the default block holds every row; 64-element blocks hold a few rows each
+    for block in (estimator._BLOCK_ELEMENTS, 64):
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        grid = estimator.evaluate_grid(model, axes)
+        assert grid.shape == shape
+        np.testing.assert_array_equal(grid.points, estimator.grid_points(axes))
+        np.testing.assert_allclose(grid.values, ref, rtol=0, atol=1e-13 * ref.max())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_factor_grid_far_from_data_is_zero(rng, d):
+    model = DensityModel(Sample(rng.normal(size=(30, d))),
+                         KernelSpec(KernelFamily.GAUSSIAN, d), 0.5)
+    axes = tuple(np.linspace(100.0, 110.0, 6) for _ in range(d))
+    grid = estimator.evaluate_grid(model, axes)
+    np.testing.assert_array_equal(grid.values, 0.0)
+    np.testing.assert_array_equal(engine_grid(model, axes), 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_factor_flush_is_below_its_stated_bound(rng, d):
+    # At 15 to 45 bandwidths from the data the engine still sums normal,
+    # subnormal or zero kernel values; the grid path drops pairs whose
+    # factors fall below exp(-700 / d) and must stay within that of the peak.
+    # Pointwise, exp(-||u||^2 / 2) against a product of per-axis exps differs
+    # by up to ||u||^2 / 2 ulps, about 1e-13 at ||u||^2 = 1400.
+    model = DensityModel(Sample(rng.normal(scale=0.1, size=(30, d))),
+                         KernelSpec(KernelFamily.GAUSSIAN, d), 0.5)
+    axes = tuple(np.linspace(7.5, 22.5, 31) for _ in range(d))
+    peak = 1.0 / (model.bandwidth**d * model.kernel.normalizer)
+    ref = engine_grid(model, axes)
+    assert ref.max() > 0.0
+    got = estimator.evaluate_grid(model, axes).values
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=math.exp(-700.0 / d) * peak)
+
+
+@pytest.mark.parametrize("d,shape", [(1, (41,)), (2, (12, 1)), (2, (15, 17)),
+                                     (3, (5, 6, 4))])
+def test_spherical_grid_stays_on_the_engine(rng, d, shape):
+    model = DensityModel(Sample(rng.normal(size=(40, d))),
+                         KernelSpec(KernelFamily.SPHERICAL, d), 0.9)
+    axes = tuple(np.linspace(-2.5, 2.5, g) for g in shape)
+    np.testing.assert_array_equal(estimator.evaluate_grid(model, axes).values,
+                                  engine_grid(model, axes))
+
+
+def test_factor_grid_memory_is_bounded(rng):
+    model = DensityModel(Sample(rng.normal(size=(100_000, 2))), GAUSS2, 0.1)
+    tracemalloc.start()
+    try:
+        grid = estimator.evaluate_grid(model, resolution=256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.values.shape == (256 * 256,)
+    # an (n, G^2) kernel block would take 100 000 * 256^2 * 8 B = 52 GB
+    assert peak < 32 * 2**20

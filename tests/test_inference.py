@@ -381,6 +381,37 @@ def test_debias_formula(rng):
         assert deb([x]) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("d,n,m", [(1, 1, 7), (1, 300, 256), (1, 7, 20),
+                                   (2, 40, 33), (3, 25, 19)])
+def test_correction_matrix_matches_two_matrix_form(monkeypatch, rng, d, n, m):
+    model = DensityModel(Sample(rng.normal(size=(n, d))),
+                         KernelSpec(KernelFamily.GAUSSIAN, d), 0.6)
+    x = rng.normal(scale=1.5, size=(m, d))
+    deb = debias(model)
+    ref = (estimator.kernel_value_matrix(model, x)
+           - 0.5 * deb.sigma_k2 * estimator.kernel_laplacian_matrix(model, x))
+    ref /= n * 0.6**d
+    for block in (estimator._BLOCK_ELEMENTS, 64):
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        got = deb.correction_matrix(x)
+        assert got.shape == (n, m)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_debiased_band_memory_is_bounded(rng):
+    sample = Sample(rng.normal(size=20_000))
+    grid = np.linspace(-4, 4, 256)
+    tracemalloc.start()
+    try:
+        band_debiased_bootstrap(sample, GAUSS1, 0.14, grid, 0.05, BootstrapPlan(1000, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (n, m) output is 41 MB; two kernel passes with their (n, m)
+    # temporaries took about 157 MB
+    assert peak < 80 * 2**20
+
+
 def test_debias_can_go_negative():
     # single point, tiny h: the correction overshoots in the tails
     model = model_of(np.array([0.0]), 1.0)
