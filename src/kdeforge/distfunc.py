@@ -1,16 +1,22 @@
 """Smoothed CDF estimation and smoothed ROC curves (univariate).
 
-The smoothed CDF integrates the KDE.  For the Gaussian kernel this is the
-exact average of per-observation normal CDFs; for the spherical kernel the
-indicator integrates to a piecewise-linear ramp.  Quadrature is kept out of
-the production path and appears only as a test oracle.
+The smoothed CDF integrates the KDE: for the Gaussian kernel the exact average
+of per-observation normal CDFs, for the spherical kernel a piecewise-linear
+ramp.  Quadrature is kept out of the production path, as a test oracle.
 
-The ROC curve of a two-sample problem (healthy responses with CDF F, diseased
-with CDF G) is ROC(t) = 1 - G(F^{-1}(1 - t)); the smoothed estimator plugs in
-the smoothed CDFs of both samples.  The bootstrap band resamples the two
-groups independently (the two-sample structure leaves no shared index set to
-resample jointly): replicate r draws the healthy indices, then the diseased
-ones, from the replicate stream of ``inference``.
+Every quantile comes from one vectorised inversion, ``_invert``: tabulate F_hat
+on ``_INVERSION_POINTS`` grid points, bracket each level q in the grid cell
+where the tabulation crosses it, start from ``np.interp`` and take Newton steps
+x <- x - (F_hat(x) - q) / p_hat(x), as F_hat' = p_hat.  A step that leaves the
+bracket, or meets p_hat = 0 on a flat of the spherical CDF, bisects it instead.
+The search stops once a step is shorter than 1e-12; a level at or beyond the
+tabulated range clamps to the grid edge.
+
+ROC(t) = 1 - G(F^{-1}(1 - t)) for healthy responses with CDF F and diseased
+ones with CDF G; the smoothed estimator plugs in both smoothed CDFs, tabulated
+on their joint support.  The bootstrap band around it redraws the healthy,
+then the diseased indices from replicate r's stream (see ``inference``), and
+inverts each replicate's tabulation by interpolation alone.
 """
 
 from __future__ import annotations
@@ -18,15 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import estimator, inference
 from .estimator import DensityModel, Sample
 from .inference import BandResult, BootstrapPlan
 from .kernels import KernelSpec, integrated
 
-# Points of the tabulation grid on which roc_band inverts the smoothed CDFs.
-_INVERSION_POINTS = 1024
+_INVERSION_POINTS = 1024  # points of the grid every inversion tabulates
+_XTOL = 1e-12  # an inversion stops once its step is shorter than this
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,7 @@ class SmoothedCDF:
 
     @property
     def support(self):
-        data = self.model.sample.data[:, 0]
-        h = self.model.bandwidth
+        data, h = self.model.sample.data[:, 0], self.model.bandwidth
         return float(data.min() - 10 * h), float(data.max() + 10 * h)
 
 
@@ -55,32 +59,56 @@ def _cdf_terms(model: DensityModel, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cdf_values(model: DensityModel, xs: np.ndarray) -> np.ndarray:
+    """The smoothed CDF at xs, ``_cdf_terms(model, xs).mean(axis=0)`` bit for
+    bit (see ``estimator._blocks``) without building the (n, m) matrix."""
+    out = np.empty(xs.size)
+    for rows, (u,), _ in estimator._blocks(model, xs[:, None]):
+        out[rows] = integrated(model.kernel, u).mean(axis=0)
+    return out
+
+
 def cdf_at(scdf: SmoothedCDF, x) -> float:
     """Smoothed CDF value at a point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))[:1]
-    return float(_cdf_terms(scdf.model, x).mean(axis=0)[0])
+    return float(_cdf_values(scdf.model, np.ravel(np.asarray(x, dtype=float))[:1])[0])
 
 
 def cdf_many(scdf: SmoothedCDF, xs) -> np.ndarray:
     """Vectorized smoothed CDF over a 1-d array of query points."""
-    return _cdf_terms(scdf.model, np.asarray(xs, dtype=float).ravel()).mean(axis=0)
+    return _cdf_values(scdf.model, np.asarray(xs, dtype=float).ravel())
 
 
-def cdf_inverse(scdf: SmoothedCDF, q: float) -> float:
-    """Quantile of the smoothed CDF by root bracketing on the support.
+def _invert(model: DensityModel, xs: np.ndarray, f: np.ndarray,
+            q: np.ndarray) -> np.ndarray:
+    """x with F_hat(x) = q for each q of a 1-d array, from f = F_hat(xs).  Each
+    iterate moves a bracket end; the next lies inside or ends the search."""
+    k = np.clip(np.searchsorted(f, q), 1, xs.size - 1)  # f[k - 1] < q <= f[k]
+    a, b = xs[k - 1], xs[k]
+    x = np.clip(np.interp(q, f, xs), a, b)
+    todo = np.flatnonzero((q > f[0]) & (q < f[-1]))
+    while todo.size:
+        xt = x[todo]
+        r = _cdf_values(model, xt) - q[todo]
+        a[todo] = np.where(r <= 0, xt, a[todo])
+        b[todo] = np.where(r >= 0, xt, b[todo])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            new = xt - r / estimator.density(model, xt[:, None])  # F_hat' = p_hat
+        newton = (a[todo] < new) & (new < b[todo]) | (np.abs(new - xt) < _XTOL)
+        x[todo] = np.where(newton, new, 0.5 * (a[todo] + b[todo]))
+        todo = todo[np.abs(x[todo] - xt) >= _XTOL]
+    return x
 
-    Returns x with |cdf_at(x) - q| <= 1e-9.  Quantiles beyond the resolvable
-    support clamp to the support edge.
-    """
-    if not 0.0 < q < 1.0:
+
+def cdf_inverse(scdf: SmoothedCDF, q):
+    """Smoothed-CDF quantile of a level q in (0, 1), or an array of them (as an
+    array of q's shape), to a last step under 1e-12; levels at or beyond F_hat
+    at the support edges clamp to the edges (see the module docstring)."""
+    q = np.asarray(q, dtype=float)
+    if not np.all((q > 0.0) & (q < 1.0)):
         raise ValueError(f"q must be in (0, 1), got {q}")
-    lo, hi = scdf.support
-    f_lo, f_hi = cdf_at(scdf, lo), cdf_at(scdf, hi)
-    if q <= f_lo:
-        return lo
-    if q >= f_hi:
-        return hi
-    return float(brentq(lambda x: cdf_at(scdf, x) - q, lo, hi, xtol=1e-12))
+    xs = np.linspace(*scdf.support, _INVERSION_POINTS)
+    x = _invert(scdf.model, xs, _cdf_values(scdf.model, xs), q.ravel())
+    return float(x[0]) if q.ndim == 0 else x.reshape(q.shape)
 
 
 @dataclass(frozen=True)
@@ -90,81 +118,61 @@ class RocCurve:
     method: str
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "t": self.t.tolist(),
-            "roc": self.values.tolist(),
-            "method": self.method,
-        }
+        return {"schema": 1, "t": self.t.tolist(), "roc": self.values.tolist(),
+                "method": self.method}
 
 
 def default_t_grid(num: int = 101) -> np.ndarray:
     return np.linspace(0.0, 1.0, num)
 
 
+def _roc_grids(healthy: Sample, diseased: Sample, kernel: KernelSpec,
+               h_healthy: float, h_diseased: float, t_grid):
+    """Both groups' models, the grid xs over their joint support, and t."""
+    if healthy.dim != 1 or diseased.dim != 1:
+        raise ValueError("ROC estimation requires univariate samples")
+    models = (DensityModel(healthy, kernel, h_healthy),
+              DensityModel(diseased, kernel, h_diseased))
+    (lo_f, hi_f), (lo_g, hi_g) = (SmoothedCDF(m).support for m in models)
+    xs = np.linspace(min(lo_f, lo_g), max(hi_f, hi_g), _INVERSION_POINTS)
+    return models, xs, default_t_grid() if t_grid is None else np.asarray(t_grid, float)
+
+
+def _smoothed_roc(models, xs: np.ndarray, f_vals: np.ndarray, t: np.ndarray):
+    """ROC(t), inverting F_hat from its tabulation f_vals = F_hat(xs)."""
+    roc, inner = np.where(t <= 0.0, 0.0, 1.0), (t > 0.0) & (t < 1.0)
+    x = _invert(models[0], xs, f_vals, 1.0 - t[inner])
+    roc[inner] = 1.0 - _cdf_values(models[1], x)
+    return roc
+
+
 def roc_curve(healthy: Sample, diseased: Sample, kernel: KernelSpec,
               h_healthy: float, h_diseased: float,
               t_grid=None) -> RocCurve:
     """Smoothed ROC(t) = 1 - G_hat(F_hat^{-1}(1 - t)) on a grid of t."""
-    if healthy.dim != 1 or diseased.dim != 1:
-        raise ValueError("ROC estimation requires univariate samples")
-    if t_grid is None:
-        t_grid = default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
-    f_cdf = SmoothedCDF(DensityModel(healthy, kernel, h_healthy))
-    g_cdf = SmoothedCDF(DensityModel(diseased, kernel, h_diseased))
-    values = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        if t <= 0.0:
-            values[i] = 0.0
-        elif t >= 1.0:
-            values[i] = 1.0
-        else:
-            x = cdf_inverse(f_cdf, 1.0 - t)
-            values[i] = 1.0 - cdf_at(g_cdf, x)
-    return RocCurve(t=t_grid, values=values, method="smoothed")
-
-
-def _gridded_roc(f_vals: np.ndarray, g_vals: np.ndarray, xs: np.ndarray,
-                 t_grid: np.ndarray) -> np.ndarray:
-    """ROC from tabulated CDFs: invert F by monotone interpolation on xs."""
-    q = 1.0 - t_grid
-    # clip to the tabulated range so np.interp never extrapolates
-    q = np.clip(q, f_vals[0], f_vals[-1])
-    x_at_q = np.interp(q, f_vals, xs)
-    out = 1.0 - np.interp(x_at_q, xs, g_vals)
-    out[t_grid <= 0.0] = 0.0
-    out[t_grid >= 1.0] = 1.0
-    return out
+    models, xs, t = _roc_grids(healthy, diseased, kernel, h_healthy, h_diseased, t_grid)
+    roc = _smoothed_roc(models, xs, _cdf_values(models[0], xs), t)
+    return RocCurve(t=t, values=roc, method="smoothed")
 
 
 def roc_band(healthy: Sample, diseased: Sample, kernel: KernelSpec,
              h_healthy: float, h_diseased: float, alpha: float,
              plan: BootstrapPlan, t_grid=None) -> BandResult:
-    """Bootstrap sup-norm confidence band around the smoothed ROC curve.
-
-    Groups are resampled independently per replicate.  Replicate curves (and
-    the band center, for consistency) are computed on a fine tabulation grid
-    with monotone-interpolation inversion; the band is clipped to [0, 1].
-    """
+    """Bootstrap sup-norm band around ``roc_curve``'s curve, clipped to [0, 1];
+    replicates resample the two groups independently."""
     inference._check_bootstrap(alpha, plan)
-    if t_grid is None:
-        t_grid = default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
-    models = (DensityModel(healthy, kernel, h_healthy),
-              DensityModel(diseased, kernel, h_diseased))
-    (lo_f, hi_f), (lo_g, hi_g) = (SmoothedCDF(m).support for m in models)
-    xs = np.linspace(min(lo_f, lo_g), max(hi_f, hi_g), _INVERSION_POINTS)
-
+    models, xs, t_grid = _roc_grids(healthy, diseased, kernel, h_healthy, h_diseased,
+                                    t_grid)
     phis = [_cdf_terms(m, xs) for m in models]
-    center = _gridded_roc(phis[0].mean(axis=0), phis[1].mean(axis=0), xs, t_grid)
+    center = _smoothed_roc(models, xs, phis[0].mean(axis=0), t_grid)
     f_star, g_star = (products / m.n for products, m in
                       zip(inference._replicate_products(plan, phis), models))
-    boot = np.array([_gridded_roc(f, g, xs, t_grid) for f, g in zip(f_star, g_star)])
+    q = 1.0 - t_grid  # replicate curves: interpolation alone, never extrapolated
+    boot = np.array([1.0 - np.interp(np.interp(np.clip(q, f[0], f[-1]), f, xs), xs, g)
+                     for f, g in zip(f_star, g_star)])
+    boot[:, t_grid <= 0.0], boot[:, t_grid >= 1.0] = 0.0, 1.0
     c = inference._sup_quantile(boot, center, alpha)
-    return BandResult(
-        grid=t_grid[:, None], center=center,
-        lower=np.clip(center - c, 0.0, 1.0),
-        upper=np.clip(center + c, 0.0, 1.0),
-        alpha=alpha, method="roc-band", halfwidth=c,
-    )
+    return BandResult(grid=t_grid[:, None], center=center,
+                      lower=np.clip(center - c, 0.0, 1.0),
+                      upper=np.clip(center + c, 0.0, 1.0),
+                      alpha=alpha, method="roc-band", halfwidth=c)

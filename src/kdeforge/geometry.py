@@ -10,9 +10,9 @@
   pair that each point's discrete steepest-ascent and steepest-descent flows
   reach; the flows follow neighbour pointers on the grid's own values.
 
-Convergence tolerances are artifact choices: the gradient tolerance defaults
-to 1e-6 * max(grid density) / h and the mode merge radius to h / 2, keeping
-both thresholds scale-aware.
+Convergence tolerances are artifact choices: the SCMS gradient tolerance
+defaults to 1e-6 * (largest KDE value at the sample points) / h and the mode
+merge radius to h / 2, keeping both thresholds scale-aware.
 """
 
 from __future__ import annotations
@@ -80,14 +80,6 @@ class MorseSmalePartition:
     cell_labels: np.ndarray
     modes: np.ndarray
     minima: np.ndarray
-
-
-def _grad_tolerance(model: DensityModel, ref_density: float | None = None) -> float:
-    if ref_density is None:
-        ref_density = float(
-            estimator.density(model, model.sample.data).max()
-        )
-    return 1e-6 * ref_density / model.bandwidth
 
 
 def _mean_shift_batch(model: DensityModel, points: np.ndarray, tol: float,
@@ -215,10 +207,10 @@ def scms(model: DensityModel, starts=None, tol: float = 1e-7,
             stride = int(np.ceil(starts.shape[0] / max_starts))
             starts = starts[::stride]
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    if grad_tol is None:
-        grad_tol = _grad_tolerance(model)
-
     h = model.bandwidth
+    if grad_tol is None:  # scale-aware default, see the module docstring
+        grad_tol = 1e-6 * estimator.density(model, model.sample.data).max() / h
+
     x = estimator._query_matrix(model, starts).copy()
     active = np.ones(x.shape[0], dtype=bool)
     converged = np.zeros(x.shape[0], dtype=bool)

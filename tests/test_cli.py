@@ -483,10 +483,11 @@ def test_negative_seed_is_config_error(normal_csv, capsys):
 # --- cold start ---
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # a fresh interpreter, since this one may already have scipy.stats loaded
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_cli_import_leaves_out_scipy_stats(module):
+    # a fresh interpreter, since this one may already have the module loaded
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    probe = "import sys, kdeforge.cli; print('scipy.stats' in sys.modules)"
+    probe = f"import sys, kdeforge.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"

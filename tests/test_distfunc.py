@@ -27,6 +27,27 @@ def gauss_cdf(data, h):
     return SmoothedCDF(DensityModel(Sample(np.asarray(data, float)), GAUSS1, h))
 
 
+def ramp_sum_cdf(data, h, kernel):
+    """F_hat as a plain average of norm.cdf or ramp terms, independent of the
+    library's engine."""
+    def cdf(x):
+        u = (np.asarray(x, float)[:, None] - np.asarray(data, float)[None, :]) / h
+        terms = norm.cdf(u) if kernel is GAUSS1 else np.clip((u + 1.0) / 2.0, 0.0, 1.0)
+        return terms.mean(axis=1)
+    return cdf
+
+
+def bisect_inverse(cdf, q, lo, hi):
+    """Per-level bisection: the smallest x in [lo, hi] with cdf(x) >= q, to the
+    spacing of doubles."""
+    lo, hi = np.full(q.shape, float(lo)), np.full(q.shape, float(hi))
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = cdf(mid) < q
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return hi
+
+
 # --- smoothed CDF ---
 
 
@@ -97,6 +118,44 @@ def test_cdf_inverse_validation_and_clamping(rng):
     assert lo <= cdf_inverse(scdf, 1.0 - 1e-16) <= hi
 
 
+@pytest.mark.parametrize("kernel", [GAUSS1, SPHERE1], ids=["gaussian", "spherical"])
+@pytest.mark.parametrize("data", [[0.3], "normal", [-1.0, 0.0, 1.0, 10.0, 11.0]],
+                         ids=["n1", "normal", "gap"])
+def test_cdf_inverse_array_matches_bisection(rng, kernel, data):
+    # the gap sample leaves F_hat flat at 3/5 on [2, 9] for the spherical
+    # kernel (h = 1), where p_hat = 0
+    data = rng.normal(size=80) if data == "normal" else np.array(data)
+    scdf = SmoothedCDF(DensityModel(Sample(data), kernel, 1.0))
+    lo, hi = scdf.support
+    q = np.concatenate([np.linspace(0.01, 0.99, 99), [0.5999, 0.6]])
+    x = cdf_inverse(scdf, q)
+    assert x.shape == q.shape and np.all(np.isfinite(x))
+    ref = bisect_inverse(ramp_sum_cdf(data, 1.0, kernel), q, lo, hi)
+    on_flat = q == 0.6  # any x on the flat is a root
+    np.testing.assert_allclose(x[~on_flat], ref[~on_flat], rtol=0, atol=1e-12)
+    np.testing.assert_allclose([cdf_at(scdf, v) for v in x], q, rtol=0, atol=1e-12)
+    if kernel is SPHERE1 and data.size == 5:
+        # q = 0.5999 starts from np.interp on the flat, where p_hat = 0
+        xs = np.linspace(lo, hi, distfunc._INVERSION_POINTS)
+        start = np.interp(0.5999, cdf_many(scdf, xs), xs)
+        assert estimator.density_at(scdf.model, [start]) == 0.0
+    # the tail cases of the scalar test, in an array; the spherical F_hat is 0
+    # below min - h, so only the Gaussian one is above 1e-300 at the edge
+    tails = cdf_inverse(scdf, np.array([1e-300, 1.0 - 1e-16]))
+    assert np.all((lo <= tails) & (tails <= hi))
+    assert tails[0] == (lo if kernel is GAUSS1 else pytest.approx(data.min() - 1.0))
+    assert cdf_inverse(scdf, 0.25) == pytest.approx(x[24], abs=1e-12)
+
+
+def test_cdf_inverse_single_point_closed_form():
+    scdf = gauss_cdf([0.3], 0.7)
+    q = np.array([[0.05, 0.5], [0.8, 0.999]])
+    np.testing.assert_allclose(cdf_inverse(scdf, q), 0.3 + 0.7 * norm.ppf(q),
+                               rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        cdf_inverse(scdf, np.array([0.5, 1.0]))
+
+
 @pytest.mark.parametrize("kernel", [GAUSS1, SPHERE1])
 @pytest.mark.parametrize("n,m", [(7, 1), (7, 19), (7, 20), (1, 130), (40, 33)])
 def test_cdf_terms_match_one_shot_reference(monkeypatch, rng, kernel, n, m):
@@ -109,6 +168,8 @@ def test_cdf_terms_match_one_shot_reference(monkeypatch, rng, kernel, n, m):
     for block in (estimator._BLOCK_ELEMENTS, 64):
         monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
         np.testing.assert_array_equal(distfunc._cdf_terms(model, xs), ref)
+        # the blocked mean sums each column as the one-shot matrix does
+        np.testing.assert_array_equal(distfunc._cdf_values(model, xs), ref.mean(axis=0))
 
 
 @pytest.mark.parametrize("kernel", [GAUSS1, SPHERE1])
@@ -168,6 +229,38 @@ def test_roc_endpoints_and_monotonicity(rng):
     assert d["method"] == "smoothed"
 
 
+@pytest.mark.parametrize("kernel", [GAUSS1, SPHERE1], ids=["gaussian", "spherical"])
+def test_roc_curve_matches_bisection_and_band_center(rng, kernel):
+    healthy, diseased = rng.normal(0.0, 1.0, 300), rng.normal(1.5, 1.2, 250)
+    hf, hg = 0.3, 0.4
+    t = default_t_grid(256)
+    roc = roc_curve(Sample(healthy), Sample(diseased), kernel, hf, hg, t)
+    lo = min(healthy.min() - 10 * hf, diseased.min() - 10 * hg)
+    hi = max(healthy.max() + 10 * hf, diseased.max() + 10 * hg)
+    x = bisect_inverse(ramp_sum_cdf(healthy, hf, kernel), 1.0 - t[1:-1], lo, hi)
+    ref = np.concatenate([[0.0], 1.0 - ramp_sum_cdf(diseased, hg, kernel)(x), [1.0]])
+    np.testing.assert_allclose(roc.values, ref, rtol=0, atol=1e-10)
+    band = roc_band(Sample(healthy), Sample(diseased), kernel, hf, hg, 0.05,
+                    BootstrapPlan(replicates=20, seed=3), t)
+    np.testing.assert_array_equal(band.center, roc.values)
+
+
+def test_roc_curve_passes_do_not_grow_with_the_t_grid(monkeypatch, rng):
+    healthy, diseased = Sample(rng.normal(0.0, 1.0, 200)), Sample(rng.normal(1.0, 1.0, 200))
+    # one tabulation, a few Newton passes and one G pass, whatever the t grid
+    passes, real = [], distfunc._cdf_values
+
+    def counted(model, xs):
+        passes.append(xs.size)
+        return real(model, xs)
+
+    monkeypatch.setattr(distfunc, "_cdf_values", counted)
+    for num in (11, 1001):
+        passes.clear()
+        roc_curve(healthy, diseased, GAUSS1, 0.3, 0.3, default_t_grid(num))
+        assert len(passes) <= 10
+
+
 def test_roc_requires_univariate(rng):
     two_d = Sample(rng.normal(size=(30, 2)))
     one_d = Sample(rng.normal(size=30))
@@ -212,7 +305,8 @@ def test_roc_band_deterministic(rng):
 def test_roc_band_matches_per_replicate_reference(rng, kernel):
     # reference on the documented stream: replicate r draws the healthy, then
     # the diseased indices from plan.rng(r); CDFs of the resampled data are
-    # tabulated one replicate at a time and inverted by interpolation
+    # tabulated one replicate at a time and inverted by interpolation.  The
+    # centre is the smoothed ROC curve, F inverted by bisection.
     healthy, diseased = rng.normal(0.0, 1.0, 200), rng.normal(1.0, 1.2, 150)
     hf, hg, alpha = 0.35, 0.45, 0.05
     plan = BootstrapPlan(replicates=60, seed=77)
@@ -233,7 +327,10 @@ def test_roc_band_matches_per_replicate_reference(rng, kernel):
     lo = min(healthy.min() - 10 * hf, diseased.min() - 10 * hg)
     hi = max(healthy.max() + 10 * hf, diseased.max() + 10 * hg)
     xs = np.linspace(lo, hi, distfunc._INVERSION_POINTS)
-    center = roc(cdf(healthy, hf), cdf(diseased, hg))
+    f_cdf = ramp_sum_cdf(healthy, hf, kernel)
+    x_q = bisect_inverse(f_cdf, 1.0 - t[1:-1], lo, hi)
+    g_cdf = ramp_sum_cdf(diseased, hg, kernel)
+    center = np.concatenate([[0.0], 1.0 - g_cdf(x_q), [1.0]])
     sups = []
     for r in range(plan.replicates):
         draw = plan.rng(r)
