@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -39,20 +40,62 @@ def ingest(path: str, group_col: str | None = None):
     A non-numeric first row is treated as a header.  Returns a Sample, or a
     dict of label -> Sample when ``group_col`` names a label column.
     """
+    if group_col is None:
+        data = _load_table(path)
+        if data is not None:
+            return Sample(data)
+    return _ingest_rows(path, group_col)
+
+
+def _load_table(path: str):
+    """The numeric table of a CSV without a label column, parsed by np.loadtxt.
+
+    Returns None on any parse error, non-finite value or missing data row, so
+    that the row parser decides the outcome and words the message.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            first = next((r for r in reader if _has_content(r)), None)
+            if first is None:
+                return None
+            # skip the header and any blank lines above it
+            skip = reader.line_num if _is_header(first) else 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+    except (OSError, ValueError, csv.Error, UserWarning):
+        return None
+    return data if np.all(np.isfinite(data)) else None
+
+
+def _has_content(row: list) -> bool:
+    return any(cell.strip() for cell in row)
+
+
+def _is_header(row: list) -> bool:
+    """A first row with a non-numeric cell is a header."""
+    try:
+        [float(cell) for cell in row]
+    except ValueError:
+        return True
+    return False
+
+
+def _ingest_rows(path: str, group_col: str | None):
+    """The row parser behind ``ingest``: every cell through ``float``."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    rows = [r for r in rows if _has_content(r)]
     if not rows:
         raise DataError(f"{path}: empty file")
 
     header = None
     start = 0
-    try:
-        [float(cell) for cell in rows[0]]
-    except ValueError:
+    if _is_header(rows[0]):
         header = [cell.strip() for cell in rows[0]]
         start = 1
         if not rows[1:]:

@@ -21,7 +21,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import estimator
 from .estimator import DensityModel, EvalGrid
@@ -179,6 +178,7 @@ def find_modes(model: DensityModel, starts=None, tol: float = 1e-8,
 
 def level_set(grid: EvalGrid, level: float) -> LevelSet:
     """Threshold the grid at ``level`` and label face-adjacent components."""
+    from scipy import ndimage
     mask = (grid.values >= level).reshape(grid.shape)
     structure = ndimage.generate_binary_structure(mask.ndim, 1)
     labeled, n = ndimage.label(mask, structure=structure)

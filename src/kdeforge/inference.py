@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import estimator, kernels
 from .estimator import DensityModel, Sample
@@ -199,6 +198,7 @@ def _as_grid(model_dim: int, grid) -> np.ndarray:
 
 def ci_plugin(model: DensityModel, grid, alpha: float) -> IntervalResult:
     """Plug-in normal interval p_hat(x) +/- z sqrt(mu_k p_hat(x) / (n h^d))."""
+    from scipy.special import ndtri
     _check_alpha(alpha)
     grid = _as_grid(model.dim, grid)
     center = estimator.density(model, grid)
@@ -234,6 +234,7 @@ def ci_bootstrap_plugin(model: DensityModel, grid, alpha: float,
     z-interval form requires the standard deviation; we use the standard
     deviation.
     """
+    from scipy.special import ndtri
     _check_alpha(alpha)
     grid, center, boot = _plain_bootstrap(model, grid, plan)
     sd = np.std(boot, axis=0, ddof=1)

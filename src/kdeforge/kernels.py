@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 
 class KernelFamily(enum.Enum):
@@ -86,6 +85,7 @@ def integrated(spec: KernelSpec, u) -> np.ndarray:
     if spec.dim != 1:
         raise ValueError(f"integrated kernel requires d = 1, got {spec.dim}")
     if spec.family is KernelFamily.GAUSSIAN:
+        from scipy.special import ndtr
         return ndtr(u)
     return np.clip((u + 1.0) / 2.0, 0.0, 1.0)
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .estimator import EvalGrid
 
@@ -172,6 +170,8 @@ def _matchable(d1: np.ndarray, d2: np.ndarray, r: float) -> bool:
     Points may match across diagrams at L-infinity cost, or to the diagonal
     at half their persistence; diagonal-to-diagonal matches are free.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
     n1, n2 = d1.shape[0], d2.shape[0]
     size = n1 + n2  # left: points of d1 + diagonal slots, right: symmetric
     rows, cols = [], []

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kdeforge import cli, simulate
 from kdeforge.cli import DataError, ingest
@@ -100,6 +102,62 @@ def test_ingest_group_errors(tmp_path):
         ingest(str(p), group_col="status")
     with pytest.raises(DataError, match="not in header"):
         ingest(str(p), group_col="missing")
+
+
+
+# The np.loadtxt fast path must give what the row parser gives: the same
+# data, bit for bit, or the same error.
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "1e500", '"1.5"', "'2'", "1#2", "#",
+                     "1_0", "", " ", " 3.25 ", "+.5", "5.", "0x10", "1e", "x",
+                     "\u0661", "1 2", "\t7\t"]),
+)
+_BLANK = st.sampled_from(["", " ", ",", ",,", "  ,  "])  # blank and comma-only lines
+_ROWS = st.one_of(st.lists(_CELLS, min_size=1, max_size=4).map(",".join), _BLANK)
+
+
+def _outcome(parse, path):
+    try:
+        sample = parse(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return sample.data.shape, sample.data.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lead=st.lists(_BLANK, max_size=2),
+       header=st.sampled_from([None, "x", "x,y", "value,1.0"]),
+       rows=st.lists(_ROWS, min_size=1, max_size=6),
+       newline=st.sampled_from(["\n", "\r\n"]))
+@example(lead=[], header=None, rows=["1.0,2.0", "3.0"], newline="\n")   # ragged
+@example(lead=[], header="x", rows=["1.0", "inf"], newline="\n")
+@example(lead=[], header="x", rows=["nan"], newline="\n")
+@example(lead=[], header=None, rows=['"1.5"', "2.0"], newline="\n")    # quoted cell
+@example(lead=[], header=None, rows=["1.0", "1#2"], newline="\n")
+@example(lead=[], header=None, rows=["1_0", "2.0"], newline="\n")
+@example(lead=[""], header="x,y", rows=["", "1.0,2.0", ",", "3.0,4.0"], newline="\r\n")
+@example(lead=[], header=None, rows=["0.5,1.5,2.5"], newline="\n")      # single row
+@example(lead=[], header="x", rows=[""], newline="\n")                  # header only
+def test_ingest_fast_path_matches_row_parser(tmp_path_factory, lead, header, rows,
+                                             newline):
+    lines = lead + ([header] if header is not None else []) + rows
+    path = tmp_path_factory.mktemp("ingest") / "in.csv"
+    path.write_bytes(newline.join(lines).encode() + newline.encode())
+    assert _outcome(ingest, str(path)) == _outcome(lambda p: cli._ingest_rows(p, None),
+                                                   str(path))
+
+
+def test_ingest_takes_the_fast_path_on_plain_tables(tmp_path):
+    p = tmp_path / "plain.csv"
+    p.write_text("\nx,y\n\n1.0,2.0\r\n3.0,4.0\n")
+    np.testing.assert_array_equal(cli._load_table(str(p)), [[1.0, 2.0], [3.0, 4.0]])
+    p.write_text("0.25\n")
+    assert cli._load_table(str(p)).shape == (1, 1)
+    for text in ["x\n", "1.0\n1_0\n", "1.0\nnan\n", '"1.0"\n', "1.0\n,\n"]:
+        p.write_text(text)
+        assert cli._load_table(str(p)) is None, text
 
 
 # --- exit codes ---
@@ -483,7 +541,7 @@ def test_negative_seed_is_config_error(normal_csv, capsys):
 # --- cold start ---
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy"])
 def test_cli_import_leaves_out_scipy_stats(module):
     # a fresh interpreter, since this one may already have the module loaded
     src = os.path.dirname(os.path.dirname(cli.__file__))
