@@ -87,7 +87,7 @@ def _ingest_rows(path: str, group_col: str | None):
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     rows = [r for r in rows if _has_content(r)]
     if not rows:
@@ -478,7 +478,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, estimator.DataRangeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

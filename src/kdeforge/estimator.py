@@ -278,15 +278,26 @@ def hessian_at(model: DensityModel, x) -> np.ndarray:
     return _hessians(model, s0, s2)[0]
 
 
+class DataRangeError(ValueError):
+    """The data's range, padded by the bandwidth, overflows float64."""
+
+
 def default_axes(model: DensityModel, resolution: int = 256, padding: float = 3.0):
     """Per-axis breakpoints spanning the data range +/- ``padding * h``."""
     data = model.sample.data
     h = model.bandwidth
-    return tuple(
-        np.linspace(data[:, l].min() - padding * h, data[:, l].max() + padding * h,
-                    resolution)
-        for l in range(model.dim)
-    )
+    axes = []
+    for l in range(model.dim):
+        lo, hi = data[:, l].min(), data[:, l].max()
+        with np.errstate(over="ignore", invalid="ignore"):
+            start, stop = lo - padding * h, hi + padding * h
+            span = stop - start
+        if not np.isfinite(span):
+            raise DataRangeError(
+                f"axis {l}: data range [{lo:g}, {hi:g}] +/- {padding:g} * h "
+                f"(h = {h:g}) overflows float64")
+        axes.append(np.linspace(start, stop, resolution))
+    return tuple(axes)
 
 
 def grid_points(axes) -> np.ndarray:

@@ -52,7 +52,10 @@ _ROW_ALIGN = 16
 class BootstrapPlan:
     """Replicate count and seed.  Replicate r draws each group's n indices
     with replacement, group after group, from default_rng([seed, r]), so
-    results depend neither on replicate order nor on blocking."""
+    results depend neither on replicate order nor on blocking.  The stream is
+    default_rng's, but its generators are seeded a block of replicates at a
+    time, from SeedSequence words computed for the whole block at once
+    (``_replicate_rngs``)."""
 
     replicates: int
     seed: int
@@ -60,12 +63,15 @@ class BootstrapPlan:
     def __post_init__(self):
         if self.replicates < 2:
             raise ValueError("need at least 2 bootstrap replicates")
+        if self.replicates >= 2**32:
+            # r must fit the one SeedSequence word _seed_words gives it
+            raise ValueError(f"need fewer than 2**32 replicates, got {self.replicates}")
         check_seed(self.seed)
 
     def rng(self, r: int) -> np.random.Generator:
         if not 0 <= r < self.replicates:
             raise ValueError(f"replicate index {r} out of range")
-        return np.random.default_rng([int(self.seed), r])
+        return next(_replicate_rngs(self.seed, r, r + 1))
 
 
 def check_seed(seed) -> None:
@@ -124,6 +130,71 @@ class BandResult(IntervalResult):
         return out
 
 
+def _seed_words(seed: int, replicates: np.ndarray) -> np.ndarray:
+    """(rows, 4) uint64: row i holds what
+    SeedSequence([seed, replicates[i]]).generate_state(4, np.uint64) gives.
+
+    numpy's SeedSequence hashing in uint32 array arithmetic, one array
+    operation per step for all replicates: the entropy is the seed's 32-bit
+    words, least significant first, then r (each index below 2**32); a pool
+    of 4 words is filled by ``hashmix``, mixed pairwise by ``mix``, and
+    drawn out as 8 words, read as 4 little-endian uint64 words.
+    """
+    shift = np.uint32(16)
+
+    def hasher(const: int, mult: int):
+        """numpy's hashmix, with its hash constant advanced on each call."""
+        def hashmix(value):
+            nonlocal const
+            value = value ^ np.uint32(const)
+            const = const * mult & 0xFFFFFFFF
+            value = value * np.uint32(const)
+            return value ^ (value >> shift)
+        return hashmix
+
+    def mix(x, y):
+        out = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return out ^ (out >> shift)
+
+    r = np.asarray(replicates, dtype=np.uint32)
+    seed = int(seed)
+    entropy = [np.full_like(r, seed & 0xFFFFFFFF)]
+    while seed := seed >> 32:
+        entropy.append(np.full_like(r, seed & 0xFFFFFFFF))
+    entropy.append(r)
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(r))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    draw = hasher(0x8B51F9DD, 0x58F38DED)
+    state = np.stack([draw(pool[k % 4]) for k in range(8)], axis=1).astype("<u4")
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+def _replicate_rngs(seed: int, start: int, stop: int):
+    """Yield default_rng([seed, r]) for r in range(start, stop), each a
+    Generator over a PCG64 seeded with its row of ``_seed_words``."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """A seed sequence whose one state request is precomputed."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:  # PCG64's one request
+                raise ValueError("precomputed for generate_state(4, np.uint64)")
+            return self.words
+
+    for words in _seed_words(seed, np.arange(start, stop)):
+        yield Generator(PCG64(Words(words)))
+
+
 def _count_blocks(plan: BootstrapPlan, sizes):
     """Yield (rows, counts): a slice of replicates and, per group of size
     n_k, its float64 counts of how often replicate r draws each observation.
@@ -137,8 +208,7 @@ def _count_blocks(plan: BootstrapPlan, sizes):
     edges = [*range(0, plan.replicates - 1, step), plan.replicates]
     for start, stop in zip(edges, edges[1:]):
         counts = [np.empty((stop - start, n)) for n in sizes]
-        for i, r in enumerate(range(start, stop)):
-            rng = plan.rng(r)
+        for i, rng in enumerate(_replicate_rngs(plan.seed, start, stop)):
             for c, n in zip(counts, sizes):
                 c[i] = np.bincount(rng.integers(0, n, n), minlength=n)
         yield slice(start, stop), counts

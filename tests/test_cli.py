@@ -178,6 +178,24 @@ def test_exit_codes(tmp_path, normal_csv, capsys):
     capsys.readouterr()
 
 
+def test_undecodable_input_is_data_error(tmp_path, capsys):
+    p = tmp_path / "bytes.csv"
+    p.write_bytes(b"1.0\n\xff2.0\n3.0\n")
+    assert cli.main(["density", "--input", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(p) in err
+
+
+@pytest.mark.parametrize("command", ["density", "ci", "cdf"])
+def test_grid_range_overflow_is_data_error(tmp_path, capsys, command):
+    # h is finite (6.35e307), but the data range +/- 3h overflows float64
+    p = tmp_path / "huge.csv"
+    p.write_text("1.0\n1e308\n-1e308\n")
+    assert cli.main([command, "--input", str(p), "--output", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "data range [-1e+308, 1e+308]" in err
+
+
 def test_degenerate_sample_is_data_error(tmp_path, capsys):
     p = tmp_path / "flat.csv"
     p.write_text("1.0\n1.0\n1.0\n")
@@ -541,7 +559,8 @@ def test_negative_seed_is_config_error(normal_csv, capsys):
 # --- cold start ---
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy",
+                                    "numpy.random"])
 def test_cli_import_leaves_out_scipy_stats(module):
     # a fresh interpreter, since this one may already have the module loaded
     src = os.path.dirname(os.path.dirname(cli.__file__))

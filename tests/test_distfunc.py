@@ -304,9 +304,10 @@ def test_roc_band_deterministic(rng):
 @pytest.mark.parametrize("kernel", [GAUSS1, SPHERE1], ids=["gaussian", "spherical"])
 def test_roc_band_matches_per_replicate_reference(rng, kernel):
     # reference on the documented stream: replicate r draws the healthy, then
-    # the diseased indices from plan.rng(r); CDFs of the resampled data are
-    # tabulated one replicate at a time and inverted by interpolation.  The
-    # centre is the smoothed ROC curve, F inverted by bisection.
+    # the diseased indices from default_rng([seed, r]); CDFs of the resampled
+    # data are tabulated one replicate at a time and inverted by
+    # interpolation.  The centre is the smoothed ROC curve, F inverted by
+    # bisection.
     healthy, diseased = rng.normal(0.0, 1.0, 200), rng.normal(1.0, 1.2, 150)
     hf, hg, alpha = 0.35, 0.45, 0.05
     plan = BootstrapPlan(replicates=60, seed=77)
@@ -333,7 +334,7 @@ def test_roc_band_matches_per_replicate_reference(rng, kernel):
     center = np.concatenate([[0.0], 1.0 - g_cdf(x_q), [1.0]])
     sups = []
     for r in range(plan.replicates):
-        draw = plan.rng(r)
+        draw = np.random.default_rng([plan.seed, r])
         f = cdf(healthy[draw.integers(0, 200, 200)], hf)
         g = cdf(diseased[draw.integers(0, 150, 150)], hg)
         sups.append(np.max(np.abs(roc(f, g) - center)))

@@ -33,8 +33,9 @@ def model_of(data, h):
 
 
 def resample(sample: Sample, plan: BootstrapPlan, r: int) -> Sample:
-    """The r-th bootstrap resample: n uniform draws with replacement."""
-    idx = plan.rng(r).integers(0, sample.n, sample.n)
+    """The r-th bootstrap resample: n uniform draws with replacement from the
+    documented stream default_rng([seed, r])."""
+    idx = np.random.default_rng([plan.seed, r]).integers(0, sample.n, sample.n)
     return Sample(sample.data[idx])
 
 
@@ -49,6 +50,59 @@ def test_plan_validation():
         plan.rng(5)
     with pytest.raises(ValueError):
         plan.rng(-1)
+
+
+def test_plan_rejects_replicate_indices_beyond_one_seed_word():
+    # r must fit the one 32-bit SeedSequence word of the derivation; the
+    # constructor alone rejects it, before anything is allocated
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        BootstrapPlan(2**32, 0)
+    np.testing.assert_array_equal(
+        BootstrapPlan(2**32 - 1, 0).rng(2**32 - 2).integers(0, 9, 9),
+        np.random.default_rng([0, 2**32 - 2]).integers(0, 9, 9))
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seed_words_match_seed_sequence(seed):
+    # r around one and two bytes, around 16-replicate block edges, and the top
+    replicates = np.array([0, 1, 15, 16, 17, 31, 32, 255, 256, 2**16 - 1, 2**16,
+                           2**16 + 1, 2**31, 2**32 - 1])
+    got = inference._seed_words(seed, replicates)
+    assert got.dtype == np.uint64 and got.shape == (replicates.size, 4)
+    for r, words in zip(replicates, got):
+        expected = np.random.SeedSequence([seed, int(r)]).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(words, expected)
+    # a block's rows do not depend on where the block starts or ends
+    for start, stop in ((0, 1), (15, 17), (16, 48), (2**16 - 3, 2**16 + 3)):
+        block = inference._seed_words(seed, np.arange(start, stop))
+        for r, words in zip(range(start, stop), block):
+            np.testing.assert_array_equal(
+                words, np.random.SeedSequence([seed, r]).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_plan_rng_draws_the_default_rng_stream(seed):
+    plan = BootstrapPlan(2**20, seed)
+    for r in (0, 15, 16, 2**16, 2**20 - 1):
+        ref, got = np.random.default_rng([seed, r]), plan.rng(r)
+        for n, size in ((500, 500), (20_000, 7)):
+            np.testing.assert_array_equal(got.integers(0, n, size),
+                                          ref.integers(0, n, size))
+        np.testing.assert_array_equal(got.random(5), ref.random(5))
+
+
+@pytest.mark.parametrize("sizes", [[1], [3, 7], [500], [1000, 1000], [1, 5], [20_000]])
+@pytest.mark.parametrize("replicates", [2, 17, 137])
+def test_count_blocks_draw_the_default_rng_stream(sizes, replicates):
+    for seed in SEEDS:
+        plan = BootstrapPlan(replicates, seed)
+        got = [np.concatenate(c) for c in
+               zip(*(counts for _, counts in inference._count_blocks(plan, sizes)))]
+        for ref, counts in zip(one_shot_counts(plan, sizes), got):
+            np.testing.assert_array_equal(counts, ref)
 
 
 def test_plan_rejects_seeds_outside_64_bits():
@@ -99,10 +153,10 @@ def test_bootstrap_density_matrix_matches_direct_kde(rng):
 
 def one_shot_counts(plan, sizes):
     """Reference replicate counts per group, one replicate at a time: replicate
-    r draws each group's indices in turn from plan.rng(r)."""
+    r draws each group's indices in turn from default_rng([seed, r])."""
     counts = [np.empty((plan.replicates, n)) for n in sizes]
     for r in range(plan.replicates):
-        rng = plan.rng(r)
+        rng = np.random.default_rng([plan.seed, r])
         for c, n in zip(counts, sizes):
             c[r] = np.bincount(rng.integers(0, n, n), minlength=n)
     return counts
