@@ -73,7 +73,8 @@ def rule_of_thumb(sample: estimator.Sample) -> float:
     n = sample.n
     if n < 2:
         raise DegenerateSampleError("rule of thumb needs n >= 2")
-    sds = np.std(data, axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge ranges: inf or nan
+        sds = np.std(data, axis=0, ddof=1)
     if np.any(sds <= 0):
         raise DegenerateSampleError("sample has zero spread in some coordinate")
     if sample.dim == 1:
@@ -82,8 +83,13 @@ def rule_of_thumb(sample: estimator.Sample) -> float:
         # Half-degenerate samples can have IQR = 0 with positive sd; fall back
         # to the sd alone rather than erroring.
         scale = min(sds[0], iqr / 1.34) if iqr > 0 else sds[0]
-        return 1.06 * scale * n ** (-0.2)
-    return float(np.mean(sds)) * n ** (-1.0 / (sample.dim + 4))
+        h = 1.06 * scale * n ** (-0.2)
+    else:
+        h = float(np.mean(sds)) * n ** (-1.0 / (sample.dim + 4))
+    if not np.isfinite(h):
+        raise DegenerateSampleError("sample spread overflows float64: the "
+                                    "rule-of-thumb bandwidth is not finite")
+    return h
 
 
 def default_lscv_grid(sample: estimator.Sample, num: int = 30,

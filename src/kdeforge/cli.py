@@ -184,7 +184,10 @@ def _grid_axis(args, model: DensityModel) -> np.ndarray:
 
 
 def _write_json(path: str | None, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # inf or nan, which JSON cannot hold
+        raise DataError(f"non-finite value in the result: {exc}") from exc
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -194,10 +197,12 @@ def _write_json(path: str | None, payload: dict):
 
 def _write_csv(path: str | None, header: list, columns):
     """Write equal-length columns under ``header``, one row format for all
-    rows: integer and boolean columns as integers, the rest as the repr of a
-    Python float (full precision, no numpy scalar reprs)."""
+    rows: integer and boolean columns as integers, string columns as they
+    are, the rest as the repr of a Python float (full precision, no numpy
+    scalar reprs)."""
     columns = [np.asarray(c) for c in columns]
-    fmt = ",".join("%d" if c.dtype.kind in "biu" else "%r" for c in columns) + "\n"
+    kinds = {"b": "%d", "i": "%d", "u": "%d", "O": "%s", "U": "%s"}
+    fmt = ",".join(kinds.get(c.dtype.kind, "%r") for c in columns) + "\n"
     text = ",".join(header) + "\n" + "".join(
         map(fmt.__mod__, zip(*[c.tolist() for c in columns])))
     if path:
@@ -205,6 +210,14 @@ def _write_csv(path: str | None, header: list, columns):
             fh.write(text)
     else:
         print(text, end="")
+
+
+def _grid_columns(grid) -> list:
+    """The coordinate columns of ``grid.points`` as float reprs, each axis
+    value formatted once (a column holds only its axis's values)."""
+    index = np.unravel_index(np.arange(grid.values.size), grid.shape)
+    return [np.array([repr(v) for v in ax.tolist()], dtype=object)[i]
+            for ax, i in zip(grid.axes, index)]
 
 
 def cmd_density(args):
@@ -219,7 +232,7 @@ def cmd_density(args):
         })
     else:
         header = [f"x{l}" for l in range(model.dim)] + ["density"]
-        _write_csv(args.output, header, [*grid.points.T, grid.values])
+        _write_csv(args.output, header, [*_grid_columns(grid), grid.values])
     print(f"density: n={model.n} d={model.dim} h={model.bandwidth:.6g} "
           f"grid={grid.values.size}")
 
@@ -284,7 +297,7 @@ def cmd_levelset(args):
     ls = geometry.level_set(grid, level)
     header = [f"x{l}" for l in range(model.dim)] + ["in_set", "component"]
     _write_csv(args.output, header,
-               [*grid.points.T, ls.mask.ravel(), ls.labels.ravel()])
+               [*_grid_columns(grid), ls.mask.ravel(), ls.labels.ravel()])
     print(f"levelset: lambda={level:.6g} components={ls.n_components}")
 
 
@@ -303,7 +316,7 @@ def cmd_morse(args):
     grid = estimator.evaluate_grid(model, resolution=args.grid)
     part = geometry.morse_smale(model, grid)
     header = [f"x{l}" for l in range(model.dim)] + ["ascent", "descent", "cell"]
-    _write_csv(args.output, header, [*grid.points.T, part.ascent_ids,
+    _write_csv(args.output, header, [*_grid_columns(grid), part.ascent_ids,
                                      part.descent_ids, part.cell_labels])
     print(f"morse: {len(set(part.cell_labels.tolist()))} cells, "
           f"{part.modes.shape[0]} modes")

@@ -281,7 +281,12 @@ def _flow_sinks(grid: EvalGrid, sign: float) -> np.ndarray:
         steeper = slope > best[here]
         best[here] = np.where(steeper, slope, best[here])
         ptr[here] = np.where(steeper, idx[there], ptr[here])
-    ptr = ptr.ravel()
+    return _pointer_roots(ptr.ravel())
+
+
+def _pointer_roots(ptr: np.ndarray) -> np.ndarray:
+    """The root each index reaches in the pointer forest ``ptr`` (every
+    chain ends at an index that points at itself), by pointer jumping."""
     while True:
         jumped = ptr[ptr]
         if np.array_equal(jumped, ptr):

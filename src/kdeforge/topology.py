@@ -1,14 +1,22 @@
 """Cluster trees and 0-dimensional persistence of a density grid.
 
-The superlevel filtration sweeps the sorted distinct grid values from the
-maximum downward, merging face-adjacent grid points with union-find.  A new
-connected component is born at the value of each local maximum; at a merge the
-elder rule applies (the component born higher survives, the younger one dies
-at the merge level).  The globally deepest component is assigned death level 0
-(densities are nonnegative, so 0 is the natural floor).
+The superlevel filtration adds grid points from the maximum downward, ordered
+by value with ties broken by flat grid index (the point's rank), and joins
+face-adjacent points.  A connected component is born at each point whose face
+neighbours all rank later; at a merge the elder rule applies (the component
+born higher survives, ties to the one born first, and the younger one dies at
+the merge level).  The globally deepest component is assigned death level 0
+(densities are nonnegative, so 0 is the natural floor).  The tie order affects
+only zero-persistence pairs.
 
-Equal grid values are totally ordered by flat grid index; this affects only
-zero-persistence pairs.
+The tree is a join tree on rank-ascent basins (Carr, Snoeyink & Axen 2003).
+Every point points at its lowest-rank face neighbour when that neighbour ranks
+lower, and pointer jumping takes each point to the root of its basin; the
+roots are exactly the births.  Components merge only when a face edge between
+two basins enters the filtration, and only the earliest edge of each basin
+pair can merge anything, so just those points are replayed in rank order,
+with the neighbours of each taken axis by axis, the - side first, under the
+elder rule (Edelsbrunner & Harer 2010, *Computational Topology*).
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import EvalGrid
+from .geometry import _pointer_roots
 
 
 @dataclass(frozen=True)
@@ -64,30 +73,6 @@ class PersistenceDiagram:
         return self.pairs[:, 0] - self.pairs[:, 1]
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = np.arange(size)
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        self.parent[ra] = rb
-        return rb
-
-
-def _neighbor_offsets(shape: tuple) -> list:
-    """Flat-index offsets of face-adjacent grid neighbors."""
-    strides = np.cumprod((1,) + shape[::-1][:-1])[::-1]
-    return [int(s) for s in strides]
-
-
 def cluster_tree(grid: EvalGrid) -> ClusterTree:
     """Merge tree of superlevel-set components of the grid (d <= 2)."""
     shape = grid.shape
@@ -97,63 +82,87 @@ def cluster_tree(grid: EvalGrid) -> ClusterTree:
     m = values.size
     # Descending by value, ties broken by flat index (stable sort on -values).
     order = np.argsort(-values, kind="stable")
-    rank = np.empty(m, dtype=int)
+    rank = np.empty(m, dtype=np.intp)
     rank[order] = np.arange(m)
 
-    uf = _UnionFind(m)
-    comp_node = {}  # union-find root -> node id
-    births, reps, deaths, parents = [], [], [], []
+    # Ascent pointers (module docstring).  A path never drops below its start,
+    # so a basin's points of rank <= r reach its root within rank <= r.
+    grid_rank = rank.reshape(shape)
+    idx = np.arange(m).reshape(shape)
+    ptr = idx.copy()
+    lowest = grid_rank.copy()
+    edges = []  # (flat index, flat index + stride) of each face edge, per axis
+    for axis in range(len(shape)):
+        lo = tuple(slice(None, -1) if l == axis else slice(None) for l in range(len(shape)))
+        hi = tuple(slice(1, None) if l == axis else slice(None) for l in range(len(shape)))
+        for here, there in ((lo, hi), (hi, lo)):
+            lower = grid_rank[there] < lowest[here]
+            lowest[here] = np.where(lower, grid_rank[there], lowest[here])
+            ptr[here] = np.where(lower, idx[there], ptr[here])
+        edges.append((idx[lo].ravel(), idx[hi].ravel()))
+    root = _pointer_roots(ptr.ravel())
+    peaks = order[root[order] == order]  # node id = position in rank order
+    node_of = np.empty(m, dtype=np.intp)
+    node_of[peaks] = np.arange(peaks.size)
+    basin = node_of[root]
 
-    coords = np.stack(np.unravel_index(np.arange(m), shape), axis=-1)
-    offsets = _neighbor_offsets(shape)
-    activated = np.zeros(m, dtype=bool)
+    # Two basins join when their first face edge enters the superlevel set,
+    # at rank max(rank p, rank q); only the earliest edge of each basin pair
+    # can merge components, so only those points are replayed.
+    p, q = (np.concatenate(e) for e in zip(*edges))
+    cross = basin[p] != basin[q]
+    p, q = p[cross], q[cross]
+    key = np.maximum(rank[p], rank[q])
+    pair = np.minimum(basin[p], basin[q]) * peaks.size + np.maximum(basin[p], basin[q])
+    by_key = np.argsort(key, kind="stable")
+    _, first = np.unique(pair[by_key], return_index=True)  # earliest key per pair
+    events = order[np.unique(key[by_key][first])]
 
-    for flat in order:
-        level = float(values[flat])
-        activated[flat] = True
-        neighbor_roots = []
-        for axis, off in enumerate(offsets):
-            for nb in (flat - off, flat + off):
-                if 0 <= nb < m and abs(coords[nb, axis] - coords[flat, axis]) == 1:
-                    if activated[nb]:
-                        root = uf.find(nb)
-                        if root not in neighbor_roots:
-                            neighbor_roots.append(root)
-        if not neighbor_roots:
-            node_id = len(births)
-            births.append(level)
-            reps.append(int(flat))
-            deaths.append(None)
-            parents.append(None)
-            comp_node[flat] = node_id
-            continue
-        # join the first neighboring component, then merge the rest
-        survivor = neighbor_roots[0]
-        uf.parent[flat] = survivor
-        for other in neighbor_roots[1:]:
-            node_a = comp_node[survivor]
-            node_b = comp_node[other]
-            # elder rule: the higher birth survives; ties resolved by node id
-            if (births[node_a], -node_a) >= (births[node_b], -node_b):
-                elder, younger = node_a, node_b
-            else:
-                elder, younger = node_b, node_a
-            deaths[younger] = level
+    # The basins of the face neighbours of lower rank of each event point,
+    # in the sweep's neighbour order: axis by axis, the - neighbour first.
+    coords = np.unravel_index(events, shape)
+    neighbours = []
+    for axis, n in enumerate(shape):
+        for step in (-1, 1):
+            c = coords[axis] + step
+            inside = (c >= 0) & (c < n)
+            nb = np.ravel_multi_index(
+                coords[:axis] + (np.clip(c, 0, n - 1),) + coords[axis + 1:], shape)
+            neighbours.append(np.where(inside & (rank[nb] < rank[events]), basin[nb], -1))
+
+    births = values[peaks].tolist()
+    deaths = [None] * peaks.size
+    parents = [None] * peaks.size
+    # Union-find over nodes.  Node ids follow rank, so births never rise with
+    # the id, and the elder rule (higher birth, ties to the lower id) keeps the
+    # lower id: every component's root is its elder node.
+    up = list(range(peaks.size))
+
+    def find(i: int) -> int:
+        while up[i] != i:
+            up[i] = up[up[i]]
+            i = up[i]
+        return i
+
+    for point, nbs in zip(events.tolist(), np.stack(neighbours, axis=-1).tolist()):
+        comps = []
+        for b in nbs:
+            if b >= 0 and (comp := find(b)) not in comps:
+                comps.append(comp)
+        # the point joins the first neighbouring component; the rest merge in
+        survivor = comps[0]
+        for other in comps[1:]:
+            elder, younger = min(survivor, other), max(survivor, other)
+            deaths[younger] = float(values[point])
             parents[younger] = elder
-            new_root = uf.union(survivor, other)
-            comp_node.pop(survivor, None)
-            comp_node.pop(other, None)
-            comp_node[new_root] = elder
-            survivor = new_root
-
-    # the surviving global component dies at level 0
-    (last_root,) = comp_node
-    deaths[comp_node[last_root]] = 0.0
+            up[younger] = elder
+            survivor = elder
+    deaths[0] = 0.0  # the surviving global component dies at level 0
 
     nodes = tuple(
         TreeNode(id=i, birth=births[i], death=deaths[i], parent=parents[i],
-                 representative=reps[i])
-        for i in range(len(births))
+                 representative=rep)
+        for i, rep in enumerate(peaks.tolist())
     )
     return ClusterTree(nodes=nodes)
 

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kdeforge import cli, simulate
+from kdeforge import bandwidth, cli, estimator, geometry, simulate
 from kdeforge.cli import DataError, ingest
+from kdeforge.estimator import DensityModel, EvalGrid, Sample
+from kdeforge.kernels import KernelFamily, KernelSpec
 
 
 @pytest.fixture
@@ -194,6 +196,24 @@ def test_grid_range_overflow_is_data_error(tmp_path, capsys, command):
     assert cli.main([command, "--input", str(p), "--output", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "data range [-1e+308, 1e+308]" in err
+
+
+def test_infinite_bandwidth_is_data_error(tmp_path, capsys):
+    # the sds of the first column overflow; 2-D h is their mean
+    p = tmp_path / "huge2.csv"
+    p.write_text("1.0,0.5\n1e308,0.2\n-1e308,0.9\n3.0,0.1\n")
+    out = tmp_path / "h.json"
+    assert cli.main(["bandwidth", "--input", str(p), "--output", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()
+
+
+def test_non_finite_json_is_data_error(tmp_path, capsys, monkeypatch, normal_csv):
+    monkeypatch.setattr(cli, "select_bandwidth", lambda *args: float("inf"))
+    out = tmp_path / "h.json"
+    assert cli.main(["bandwidth", "--input", normal_csv, "--output", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("data error: non-finite value")
+    assert not out.exists()
 
 
 def test_degenerate_sample_is_data_error(tmp_path, capsys):
@@ -458,6 +478,56 @@ def test_csv_artifacts_match_csv_writer_reference(tmp_path, monkeypatch, request
         assert header == ["t", "roc", "lower", "upper"]
     if command == "levelset":
         assert set(columns[2].tolist()) == {False, True}
+
+
+GRID_CSVS = [  # (subcommand, dimension, extra arguments)
+    ("density", 1, ["--grid", "33"]),
+    ("density", 2, ["--grid", "17"]),
+    ("levelset", 2, ["--grid", "17", "--lambda", "0.02"]),
+    ("morse", 2, ["--grid", "17"]),
+]
+
+
+@pytest.mark.parametrize("command,dim,extra", GRID_CSVS)
+def test_grid_csv_coordinates_match_grid_points(tmp_path, rng, capsys, command,
+                                                dim, extra):
+    # data closed under negation give axes symmetric about 0, and a 2^k + 1
+    # resolution puts 0.0 on each of them
+    half = rng.normal(2.0, 0.7, (60, dim))
+    data = np.concatenate([half, -half])
+    path = tmp_path / "symmetric.csv"
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in data)
+                    + "\n")
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--input", str(path), *extra, "--output", str(out)]) == 0
+    capsys.readouterr()
+
+    sample = Sample(data)
+    model = DensityModel(sample, KernelSpec(KernelFamily.GAUSSIAN, dim),
+                         bandwidth.rule_of_thumb(sample))
+    grid = estimator.evaluate_grid(model, resolution=int(extra[1]))
+    assert all(0.0 in ax for ax in grid.axes)
+    header = [f"x{l}" for l in range(dim)]
+    if command == "density":
+        header, rest = header + ["density"], [grid.values]
+    elif command == "levelset":
+        ls = geometry.level_set(grid, 0.02)
+        header, rest = header + ["in_set", "component"], [ls.mask.ravel(),
+                                                          ls.labels.ravel()]
+    else:
+        part = geometry.morse_smale(model, grid)
+        header = header + ["ascent", "descent", "cell"]
+        rest = [part.ascent_ids, part.descent_ids, part.cell_labels]
+    assert out.read_bytes() == reference_csv(header, [*grid.points.T, *rest])
+
+
+def test_grid_columns_keep_negative_zero():
+    axes = (np.array([-1.0, -0.0, 2.5]), np.array([0.0, 0.1]))
+    grid = EvalGrid(axes=axes, points=estimator.grid_points(axes), values=np.zeros(6))
+    columns = cli._grid_columns(grid)
+    assert [c.tolist() for c in columns] == [[repr(v) for v in col]
+                                             for col in grid.points.T.tolist()]
+    assert columns[0].tolist().count("-0.0") == 2
 
 
 def test_simulate_subcommand(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,99 @@ def test_tree_structural_invariants(rng):
     d = tree.to_dict()
     assert d["schema"] == 1
     assert len(d["nodes"]) == len(tree.nodes)
+
+
+def reference_tree(values, shape) -> list:
+    """(id, birth, death, parent, representative) of every node, from a plain
+    superlevel sweep: points in descending value order (ties by flat index),
+    union-find over true face adjacency, the first neighbouring component
+    joined and the rest merged under the elder rule (birth, -id)."""
+    values = np.asarray(values, dtype=float)
+    up = {}  # activated point -> union-find parent
+
+    def find(i):
+        while up[i] != i:
+            i = up[i]
+        return i
+
+    node_of = {}  # component root -> node id
+    births, deaths, parents, reps = [], [], [], []
+    for flat in np.argsort(-values, kind="stable").tolist():
+        coord = np.unravel_index(flat, shape)
+        roots = []
+        for axis in range(len(shape)):
+            for step in (-1, 1):
+                nb = list(coord)
+                nb[axis] += step
+                if 0 <= nb[axis] < shape[axis]:
+                    j = int(np.ravel_multi_index(nb, shape))
+                    if j in up and find(j) not in roots:
+                        roots.append(find(j))
+        if not roots:
+            up[flat] = flat
+            node_of[flat] = len(births)
+            births.append(float(values[flat]))
+            deaths.append(None)
+            parents.append(None)
+            reps.append(flat)
+            continue
+        survivor = up[flat] = roots[0]
+        for other in roots[1:]:
+            a, b = node_of.pop(survivor), node_of.pop(other)
+            elder, younger = (a, b) if (births[a], -a) >= (births[b], -b) else (b, a)
+            deaths[younger] = float(values[flat])
+            parents[younger] = elder
+            up[survivor] = other
+            survivor = other
+            node_of[survivor] = elder
+    (last,) = node_of.values()
+    deaths[last] = 0.0
+    return list(zip(range(len(births)), births, deaths, parents, reps))
+
+
+def grid_of(values, shape):
+    axes = tuple(np.arange(float(n)) for n in shape)
+    return EvalGrid(axes=axes, points=estimator.grid_points(axes),
+                    values=np.asarray(values, dtype=float).ravel())
+
+
+def tree_rows(tree):
+    return [(n.id, n.birth, n.death, n.parent, n.representative) for n in tree.nodes]
+
+
+def test_tree_two_peaks_on_2x2_grid():
+    # the peaks 1.0 at (0, 1) and 0.9 at (1, 0) are diagonal, not face
+    # neighbours: they meet only at level 0
+    tree = cluster_tree(grid_of([[0.0, 1.0], [0.9, 0.0]], (2, 2)))
+    assert tree_rows(tree) == [(0, 1.0, 0.0, None, 1), (1, 0.9, 0.0, 0, 2)]
+    assert tree_rows(tree) == reference_tree([0.0, 1.0, 0.9, 0.0], (2, 2))
+
+
+SHAPES = [(1,), (2,), (3,), (9,), (1, 1), (1, 6), (6, 1), (2, 2), (2, 5), (5, 2),
+          (3, 4), (7, 7)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_tree_matches_reference_sweep(shape):
+    rng = np.random.default_rng(sum(shape) * 31 + len(shape))
+    m = int(np.prod(shape))
+    grids = [np.zeros(m), np.ones(m)]  # all-zero and constant: one node
+    for _ in range(25):
+        grids.append(rng.random(m))                       # distinct values
+        grids.append(rng.integers(0, 3, m).astype(float))  # few levels: ties
+        grids.append(np.round(rng.random(m), 1))           # plateaus
+    for values in grids:
+        tree = cluster_tree(grid_of(values, shape))
+        assert tree_rows(tree) == reference_tree(values, shape)
+        json.dumps(tree.to_dict())  # plain Python ints and floats
+
+
+def test_tree_matches_reference_sweep_on_kde_grid(rng):
+    centers = np.array([[-2.5, -2.5], [2.5, 2.5], [-2.5, 2.5], [2.5, -2.5]])
+    data = np.concatenate([rng.normal(c, 0.6, size=(40, 2)) for c in centers])
+    model = DensityModel(Sample(data), GAUSS2, 0.5)
+    grid = estimator.evaluate_grid(model, resolution=24)
+    assert tree_rows(cluster_tree(grid)) == reference_tree(grid.values, grid.shape)
 
 
 def test_tree_rejects_3d():
