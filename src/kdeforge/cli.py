@@ -165,8 +165,29 @@ def select_bandwidth(args, sample: Sample, kernel: KernelSpec) -> float:
         raise DataError(str(exc)) from exc
 
 
+# The dimensions of the subcommands that take only some: (lowest d, highest
+# d, what the subcommand requires).  The others take any d.
+_DIMENSIONS = {
+    "ci": (1, 1, "univariate data"),
+    "band": (1, 1, "univariate data"),
+    "cdf": (1, 1, "univariate data"),
+    "ridge": (2, np.inf, "d >= 2"),
+    "morse": (1, 2, "d <= 2"),
+    "tree": (1, 2, "d <= 2"),
+    "persist": (1, 2, "d <= 2"),
+    "roc": (1, 1, "univariate data"),
+}
+
+
+def _check_dimension(command: str, sample: Sample):
+    lo, hi, need = _DIMENSIONS.get(command, (1, np.inf, ""))
+    if not lo <= sample.dim <= hi:
+        raise DataError(f"{command} requires {need}, got d={sample.dim}")
+
+
 def _model(args) -> DensityModel:
     sample = ingest(args.input)
+    _check_dimension(args.command, sample)
     kernel = _kernel(args, sample.dim)
     h = select_bandwidth(args, sample, kernel)
     return DensityModel(sample, kernel, h)
@@ -175,12 +196,6 @@ def _model(args) -> DensityModel:
 def _require_seed(args):
     if args.seed is None:
         raise ConfigError("bootstrap paths require an explicit --seed")
-
-
-def _grid_axis(args, model: DensityModel) -> np.ndarray:
-    if model.dim != 1:
-        raise DataError(f"{args.command} requires univariate data")
-    return estimator.default_axes(model, resolution=args.grid)[0]
 
 
 def _write_json(path: str | None, payload: dict):
@@ -248,7 +263,7 @@ def cmd_bandwidth(args):
 
 def cmd_ci(args):
     model = _model(args)
-    axis = _grid_axis(args, model)
+    axis = estimator.default_axes(model, resolution=args.grid)[0]
     if args.method == "plugin":
         result = inference.ci_plugin(model, axis, args.alpha)
     else:
@@ -263,7 +278,7 @@ def cmd_ci(args):
 
 def cmd_band(args):
     model = _model(args)
-    axis = _grid_axis(args, model)
+    axis = estimator.default_axes(model, resolution=args.grid)[0]
     if args.method == "evt":
         result = inference.band_plugin_evt(model, axis, args.alpha)
     elif args.method == "boot":
@@ -285,7 +300,8 @@ def cmd_modes(args):
     modes = geometry.find_modes(model, tol=args.tol, max_iter=args.max_iter)
     header = [f"x{l}" for l in range(model.dim)] + ["density"]
     _write_csv(args.output, header, [*modes.modes.T, modes.density])
-    print(f"modes: found {modes.n_modes} local modes")
+    print(f"modes: found {modes.n_modes} local modes "
+          f"({int(modes.converged.sum())}/{modes.converged.size} starts converged)")
 
 
 def cmd_levelset(args):
@@ -340,7 +356,7 @@ def cmd_persist(args):
 
 def cmd_cdf(args):
     model = _model(args)
-    axis = _grid_axis(args, model)
+    axis = estimator.default_axes(model, resolution=args.grid)[0]
     scdf = distfunc.SmoothedCDF(model)
     values = distfunc.cdf_many(scdf, axis)
     _write_csv(args.output, ["x", "cdf"], [axis, values])
@@ -352,6 +368,7 @@ def cmd_roc(args):
         raise ConfigError("roc requires --group-col")
     groups = ingest(args.input, group_col=args.group_col)
     (lab_h, healthy), (lab_d, diseased) = sorted(groups.items())
+    _check_dimension(args.command, healthy)  # both groups share the columns
     kernel = _kernel(args, 1)
     h_f = select_bandwidth(args, healthy, kernel)
     h_g = select_bandwidth(args, diseased, kernel)

@@ -10,6 +10,13 @@
   pair that each point's discrete steepest-ascent and steepest-descent flows
   reach; the flows follow neighbour pointers on the grid's own values.
 
+Mean shift and SCMS differ only in their step (``_mean_shift_step``,
+``_scms_step``); one loop, ``_ascend``, iterates either over an active set of
+starts and reports each start's end point, converged and dropped flags and
+iteration count.  ``find_modes`` is the one code path from starts to modes
+(merge of converged destinations, curvature check); ``morse_smale`` polishes
+its grid's ascent sinks through it.
+
 Convergence tolerances are artifact choices: the SCMS gradient tolerance
 defaults to 1e-6 * (largest KDE value at the sample points) / h and the mode
 merge radius to h / 2, keeping both thresholds scale-aware.
@@ -81,34 +88,46 @@ class MorseSmalePartition:
     minima: np.ndarray
 
 
-def _mean_shift_batch(model: DensityModel, points: np.ndarray, tol: float,
-                      max_iter: int):
-    """Iterate the mean-shift update on all rows of ``points`` at once.
+def _ascend(model: DensityModel, x, step, tol: float, max_iter: int):
+    """The one ascent loop: ``x += shift`` on every active row of ``x`` at once.
 
-    Density is nondecreasing along Gaussian mean-shift iterates, so the
-    update needs no step-size control.  A point whose kernel weights all
-    underflow has no defined update: it stays where it is, not converged.
+    ``step(model, y)`` returns the shifts of the rows of ``y`` that have one
+    and a mask of those rows.  A row without a shift is dropped (mean shift:
+    every kernel weight underflows; SCMS: the eigengap collapses); a row
+    whose shift is shorter than ``tol`` has converged.  Either leaves the
+    active set.  Returns (end points, converged, dropped, iterations) per row.
     """
-    h = model.bandwidth
-    x = estimator._query_matrix(model, points).copy()
+    x = estimator._query_matrix(model, x).copy()
     active = np.ones(x.shape[0], dtype=bool)
-    stalled = np.zeros(x.shape[0], dtype=bool)
+    dropped = np.zeros(x.shape[0], dtype=bool)
     iters = np.zeros(x.shape[0], dtype=int)
     for _ in range(max_iter):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        s0, s1 = estimator._kernel_sums(model, x[idx], 1)
-        empty = ~(s0 > 0)
-        stalled[idx[empty]] = True
-        active[idx[empty]] = False
-        idx, s0, s1 = idx[~empty], s0[~empty], s1[~empty]
-        # sum_i K(u_i) (X_i - x) / sum_i K(u_i): the weighted sample mean minus x
-        shift = -h * s1 / s0[:, None]
+        shift, ok = step(model, x[idx])
+        dropped[idx[~ok]] = True
+        active[idx[~ok]] = False
+        idx = idx[ok]
         x[idx] += shift
         iters[idx] += 1
         active[idx[np.linalg.norm(shift, axis=1) < tol]] = False
-    return x, ~active & ~stalled, iters
+    return x, ~active & ~dropped, dropped, iters
+
+
+def _mean_shift_step(model: DensityModel, x: np.ndarray):
+    """The mean-shift update sum_i K(u_i) (X_i - x) / sum_i K(u_i), the
+    weighted sample mean minus x.  Density is nondecreasing along Gaussian
+    iterates, so it needs no step-size control.  It is undefined where
+    every kernel weight underflows."""
+    s0, s1 = estimator._kernel_sums(model, x, 1)
+    ok = s0 > 0
+    return -model.bandwidth * s1[ok] / s0[ok, None], ok
+
+
+def _require_gaussian(model: DensityModel, what: str):
+    if model.kernel.family is not KernelFamily.GAUSSIAN:
+        raise ValueError(f"{what} requires the Gaussian kernel")
 
 
 def mean_shift(model: DensityModel, start, tol: float = 1e-8,
@@ -118,10 +137,10 @@ def mean_shift(model: DensityModel, start, tol: float = 1e-8,
     Exceeding ``max_iter`` clears the converged flag rather than raising, and
     so does a start so far from the data that every kernel weight underflows.
     """
-    if model.kernel.family is not KernelFamily.GAUSSIAN:
-        raise ValueError("mean shift requires the Gaussian kernel")
+    _require_gaussian(model, "mean shift")
     start = np.atleast_1d(np.asarray(start, dtype=float))
-    pts, conv, iters = _mean_shift_batch(model, start[None, :], tol, max_iter)
+    pts, conv, _, iters = _ascend(model, start[None, :], _mean_shift_step, tol,
+                                  max_iter)
     return pts[0], bool(conv[0]), int(iters[0])
 
 
@@ -150,9 +169,12 @@ def find_modes(model: DensityModel, starts=None, tol: float = 1e-8,
                max_iter: int = 500, merge_radius: float | None = None) -> ModeSet:
     """Mode clustering: mean shift from every start, merged destinations.
 
-    Candidate modes failing the negative-curvature check (largest Hessian
-    eigenvalue < 0) are discarded together with their basins.
+    Only converged destinations are merged (greedily within ``merge_radius``,
+    default h / 2, highest density first); a start that does not converge is
+    assigned -1.  Candidate modes failing the negative-curvature check
+    (largest Hessian eigenvalue < 0) are discarded together with their basins.
     """
+    _require_gaussian(model, "mean shift")
     if starts is None:
         starts = model.sample.data
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
@@ -160,20 +182,19 @@ def find_modes(model: DensityModel, starts=None, tol: float = 1e-8,
         raise ValueError("starts must be nonempty")
     if merge_radius is None:
         merge_radius = model.bandwidth / 2.0
-    dest, converged, _ = _mean_shift_batch(model, starts, tol, max_iter)
-    dens = estimator.density(model, dest)
-    reps, rep_dens, assign = _merge_points(dest, dens, merge_radius)
-    assign[~converged] = -1
-
+    dest, converged, _, _ = _ascend(model, starts, _mean_shift_step, tol, max_iter)
+    dest = dest[converged]
+    reps, rep_dens, mode_of = _merge_points(dest, estimator.density(model, dest),
+                                            merge_radius)
     s0, _, s2 = estimator._kernel_sums(model, reps, 2)
     lam1 = np.linalg.eigvalsh(estimator._hessians(model, s0, s2))[:, -1]
     keep = np.flatnonzero(lam1 < 0)
-    remap = np.full(reps.shape[0] + 1, -1)  # the last entry maps -1 to -1
+    remap = np.full(reps.shape[0], -1)
     remap[keep] = np.arange(keep.size)
-    return ModeSet(
-        modes=reps[keep], density=rep_dens[keep],
-        assignments=remap[assign], converged=converged,
-    )
+    assignments = np.full(starts.shape[0], -1)
+    assignments[converged] = remap[mode_of]
+    return ModeSet(modes=reps[keep], density=rep_dens[keep],
+                   assignments=assignments, converged=converged)
 
 
 def level_set(grid: EvalGrid, level: float) -> LevelSet:
@@ -199,40 +220,18 @@ def scms(model: DensityModel, starts=None, tol: float = 1e-7,
     """
     if model.dim < 2:
         raise ValueError("SCMS requires d >= 2")
-    if model.kernel.family is not KernelFamily.GAUSSIAN:
-        raise ValueError("SCMS requires the Gaussian kernel")
+    _require_gaussian(model, "SCMS")
     if starts is None:
         starts = model.sample.data
         if starts.shape[0] > max_starts:
             stride = int(np.ceil(starts.shape[0] / max_starts))
             starts = starts[::stride]
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    h = model.bandwidth
     if grad_tol is None:  # scale-aware default, see the module docstring
-        grad_tol = 1e-6 * estimator.density(model, model.sample.data).max() / h
-
-    x = estimator._query_matrix(model, starts).copy()
-    active = np.ones(x.shape[0], dtype=bool)
-    converged = np.zeros(x.shape[0], dtype=bool)
-    degenerate = np.zeros(x.shape[0], dtype=bool)
-    for _ in range(max_iter):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        s0, s1, s2 = estimator._kernel_sums(model, x[idx], 2)
-        eigvals, eigvecs = np.linalg.eigh(estimator._hessians(model, s0, s2))
-        flat = eigvals[:, -1] - eigvals[:, -2] < eigen_gap_tol
-        degenerate[idx[flat]] = True
-        active[idx[flat]] = False
-        keep = ~flat
-        idx = idx[keep]
-        v_trailing = eigvecs[keep, :, :-1]  # all but the leading eigenvector
-        shift = -h * s1[keep] / s0[keep, None]  # mean-shift step
-        step = _project(v_trailing, shift)
-        x[idx] += step
-        done = np.linalg.norm(step, axis=1) < tol
-        converged[idx[done]] = True
-        active[idx[done]] = False
+        grad_tol = (1e-6 * estimator.density(model, model.sample.data).max()
+                    / model.bandwidth)
+    x, converged, degenerate, _ = _ascend(
+        model, starts, lambda m, y: _scms_step(m, y, eigen_gap_tol), tol, max_iter)
 
     pts = x[converged]
     s0, s1, s2 = estimator._kernel_sums(model, pts, 2)
@@ -248,6 +247,17 @@ def scms(model: DensityModel, starts=None, tol: float = 1e-7,
         converged=converged,
         dropped_degenerate=int(degenerate.sum()),
     )
+
+
+def _scms_step(model: DensityModel, x: np.ndarray, eigen_gap_tol: float):
+    """The mean-shift step projected onto the span of the trailing d - 1
+    Hessian eigenvectors, undefined where the leading eigengap is below
+    ``eigen_gap_tol``."""
+    s0, s1, s2 = estimator._kernel_sums(model, x, 2)
+    eigvals, eigvecs = np.linalg.eigh(estimator._hessians(model, s0, s2))
+    ok = ~(eigvals[:, -1] - eigvals[:, -2] < eigen_gap_tol)
+    shift = -model.bandwidth * s1[ok] / s0[ok, None]
+    return _project(eigvecs[ok, :, :-1], shift), ok
 
 
 def _project(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -297,41 +307,35 @@ def _pointer_roots(ptr: np.ndarray) -> np.ndarray:
 def morse_smale(model: DensityModel, grid: EvalGrid) -> MorseSmalePartition:
     """Partition the grid by the sinks of its discrete steepest flows (d <= 2).
 
-    Ascent: the distinct ascent sinks are polished to modes by mean shift and
-    merged within h / 2; a sink whose mean shift does not converge (all its
-    kernel weights underflow) gets EXTERIOR.  Descent: sinks strictly inside
-    the grid with positive density are the minima, merged within h / 2; a
-    flow that ends on the edge or at zero density gets EXTERIOR.  Cells are
-    the distinct (ascent, descent) pairs; exterior-descent points form one.
+    Ascent: ``find_modes`` polishes the distinct ascent sinks to modes; a
+    sink it leaves unassigned (mean shift does not converge, or the merged
+    point fails the curvature check) gets EXTERIOR.  Descent: sinks strictly
+    inside the grid with positive density are the minima, merged within
+    h / 2; a flow that ends on the edge or at zero density gets EXTERIOR.
+    Cells are the distinct (ascent, descent) pairs; exterior-descent points
+    form one.
     """
     if model.dim > 2:
         raise ValueError("grid-based Morse-Smale supports d <= 2 only")
-    if model.kernel.family is not KernelFamily.GAUSSIAN:
-        raise ValueError("Morse-Smale flows require the Gaussian kernel")
-    radius = model.bandwidth / 2.0
+    _require_gaussian(model, "Morse-Smale flows")
 
     peaks, up = np.unique(_flow_sinks(grid, 1.0), return_inverse=True)
-    dest, converged, _ = _mean_shift_batch(model, grid.points[peaks], tol=1e-8,
-                                           max_iter=500)
-    dest = dest[converged]
-    modes, _, mode_of = _merge_points(dest, estimator.density(model, dest), radius)
-    peak_ids = np.full(peaks.size, EXTERIOR)
-    peak_ids[converged] = mode_of
+    modes = find_modes(model, grid.points[peaks])
 
     pits, down = np.unique(_flow_sinks(grid, -1.0), return_inverse=True)
     inside = np.all([(i > 0) & (i < n - 1) for i, n in
                      zip(np.unravel_index(pits, grid.shape), grid.shape)], axis=0)
     inside &= grid.values[pits] > 0.0
     minima, _, minimum_of = _merge_points(
-        grid.points[pits[inside]], -grid.values[pits[inside]], radius)
+        grid.points[pits[inside]], -grid.values[pits[inside]], model.bandwidth / 2.0)
     pit_ids = np.full(pits.size, EXTERIOR)
     pit_ids[inside] = minimum_of
 
-    ascent_ids, descent_ids = peak_ids[up], pit_ids[down]
+    ascent_ids, descent_ids = modes.assignments[up], pit_ids[down]
     pairs = np.column_stack([np.where(descent_ids == EXTERIOR, EXTERIOR, ascent_ids),
                              descent_ids])
     _, cells = np.unique(pairs, axis=0, return_inverse=True)
     return MorseSmalePartition(
         ascent_ids=ascent_ids, descent_ids=descent_ids, cell_labels=cells.ravel(),
-        modes=modes, minima=minima,
+        modes=modes.modes, minima=minima,
     )

@@ -173,55 +173,46 @@ def persistence_diagram(tree: ClusterTree) -> PersistenceDiagram:
     return PersistenceDiagram(pairs=pairs.reshape(-1, 2))
 
 
-def _matchable(d1: np.ndarray, d2: np.ndarray, r: float) -> bool:
+def _matchable(cost: np.ndarray, half1: np.ndarray, half2: np.ndarray,
+               r: float) -> bool:
     """Feasibility of a perfect matching at bottleneck radius r.
 
-    Points may match across diagrams at L-infinity cost, or to the diagonal
-    at half their persistence; diagonal-to-diagonal matches are free.
+    Points may match across diagrams at L-infinity cost ``cost`` (n1, n2), or
+    to the diagonal at half their persistence ``half1`` / ``half2``;
+    diagonal-to-diagonal matches are free.  Left vertices are the points of
+    the first diagram, then the diagonal slots of the second; right vertices
+    the points of the second, then the diagonal slots of the first.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
-    n1, n2 = d1.shape[0], d2.shape[0]
-    size = n1 + n2  # left: points of d1 + diagonal slots, right: symmetric
-    rows, cols = [], []
-    diag1 = (d1[:, 0] - d1[:, 1]) / 2.0
-    diag2 = (d2[:, 0] - d2[:, 1]) / 2.0
-    for i in range(n1):
-        for j in range(n2):
-            cost = max(abs(d1[i, 0] - d2[j, 0]), abs(d1[i, 1] - d2[j, 1]))
-            if cost <= r:
-                rows.append(i)
-                cols.append(j)
-        if diag1[i] <= r:  # d1 point to its diagonal slot
-            rows.append(i)
-            cols.append(n2 + i)
-    for j in range(n2):
-        if diag2[j] <= r:  # d2 point matched from its diagonal slot
-            rows.append(n1 + j)
-            cols.append(j)
-        for i in range(n1):  # diagonal-diagonal, always allowed
-            rows.append(n1 + j)
-            cols.append(n2 + i)
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size))
-    matching = maximum_bipartite_matching(graph, perm_type="column")
+    graph = np.block([[cost <= r, np.diag(half1 <= r)],
+                      [np.diag(half2 <= r), np.ones((half2.size, half1.size), bool)]])
+    matching = maximum_bipartite_matching(csr_matrix(graph), perm_type="column")
     return bool(np.all(matching >= 0))
 
 
 def bottleneck_distance(diag1: PersistenceDiagram,
                         diag2: PersistenceDiagram) -> float:
-    """Exact bottleneck distance between two small 0-dim diagrams."""
+    """Exact bottleneck distance between two small 0-dim diagrams.
+
+    The distance is the smallest candidate radius (0, a half persistence or
+    a cross cost) at which a perfect matching exists.  Feasibility only grows
+    with r and the largest candidate is always feasible (every point can take
+    its diagonal slot), so the candidates are bisected.
+    """
     d1, d2 = diag1.pairs, diag2.pairs
-    candidates = {0.0}
-    for i in range(d1.shape[0]):
-        candidates.add((d1[i, 0] - d1[i, 1]) / 2.0)
-        for j in range(d2.shape[0]):
-            candidates.add(max(abs(d1[i, 0] - d2[j, 0]), abs(d1[i, 1] - d2[j, 1])))
-    for j in range(d2.shape[0]):
-        candidates.add((d2[j, 0] - d2[j, 1]) / 2.0)
-    for r in sorted(candidates):
-        if _matchable(d1, d2, r):
-            return float(r)
-    raise RuntimeError("no feasible bottleneck radius found")  # pragma: no cover
+    cost = np.abs(d1[:, None, :] - d2[None, :, :]).max(axis=2)
+    half1 = (d1[:, 0] - d1[:, 1]) / 2.0
+    half2 = (d2[:, 0] - d2[:, 1]) / 2.0
+    radii = np.unique(np.concatenate([[0.0], half1, half2, cost.ravel()]))
+    lo, hi = 0, radii.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _matchable(cost, half1, half2, radii[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(radii[lo])
 
 
 def bottleneck_stability_check(grid1: EvalGrid, grid2: EvalGrid) -> float:

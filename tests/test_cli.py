@@ -310,7 +310,12 @@ def test_modes_subcommand(tmp_path, bimodal_csv, capsys):
     assert len(locs) == 2
     assert abs(locs[0] + 2.5) < 0.5
     assert abs(locs[1] - 2.5) < 0.5
-    assert "found 2 local modes" in capsys.readouterr().out
+    assert "found 2 local modes (400/400 starts converged)" in capsys.readouterr().out
+
+
+def test_modes_rejects_spherical_kernel(bimodal_csv, capsys):
+    assert cli.main(["modes", "--input", bimodal_csv, "--kernel", "spherical"]) == 2
+    assert "Gaussian kernel" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["ci", "band"])
@@ -320,6 +325,26 @@ def test_ci_and_band_reject_multivariate_data(tmp_path, rng, capsys, command):
                                     rng.normal(size=(50, 2)).tolist()) + "\n")
     assert cli.main([command, "--input", str(p), "--seed", "3"]) == 3
     assert f"{command} requires univariate data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,dim", [("ridge", 1), ("morse", 3), ("tree", 3),
+                                         ("persist", 3)])
+def test_unsupported_dimension_is_data_error(tmp_path, rng, capsys, command, dim):
+    p = tmp_path / "x.csv"
+    np.savetxt(p, rng.normal(size=(40, dim)), delimiter=",")
+    assert cli.main([command, "--input", str(p), "--grid", "8",
+                     "--output", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {command} requires ") and f"got d={dim}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_roc_rejects_multivariate_groups(tmp_path, rng, capsys):
+    p = tmp_path / "groups2.csv"
+    p.write_text("x,y,g\n" + "\n".join(f"{a!r},{b!r},{'ab'[i % 2]}" for i, (a, b) in
+                                        enumerate(rng.normal(size=(40, 2)).tolist())) + "\n")
+    assert cli.main(["roc", "--input", str(p), "--group-col", "g"]) == 3
+    assert "roc requires univariate data, got d=2" in capsys.readouterr().err
 
 
 def test_levelset_subcommand(tmp_path, bimodal_csv, capsys):
@@ -624,6 +649,73 @@ def test_negative_seed_is_config_error(normal_csv, capsys):
     assert cli.main(["simulate", "--n", "100", "--trials", "2", "--boot", "20",
                      "--grid", "16", "--seed", "-1"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+# --- fuzz: every input ends in exit 0, 2 or 3 ---
+
+
+FUZZ_ARGS = {  # subcommand: its own arguments, at small sizes
+    "density": [], "bandwidth": [], "modes": [], "ridge": [], "morse": [],
+    "tree": [], "persist": [], "cdf": [],
+    "ci": ["--method", "boot", "--boot", "20", "--seed", "1"],
+    "band": ["--boot", "20", "--seed", "1"],
+    "levelset": ["--lambda", "0.01"],
+    "roc": ["--group-col", "g", "--boot", "20", "--seed", "1"],
+}
+FUZZ_BANDWIDTHS = {
+    "rule-of-thumb": [],
+    "fixed": ["--bandwidth-method", "fixed", "--bandwidth", "0.5"],
+    "spherical": ["--kernel", "spherical"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """CSV inputs at the edges of the data contract, keyed by name; the
+    wrong-dimension input depends on the subcommand."""
+    rng = np.random.default_rng(7)
+    root = tmp_path_factory.mktemp("fuzz")
+
+    def write(name, header, rows):
+        path = root / f"{name}.csv"
+        path.write_text(header + "\n" + "\n".join(
+            ",".join(cell if isinstance(cell, str) else repr(float(cell)) for cell in row)
+            for row in rows) + "\n")
+        return str(path)
+
+    x = rng.normal(size=30)
+    return {
+        "constant-1d": write("constant", "x", [[2.5]] * 30),
+        "constant-column": write("column", "x,y", [[v, 1.0] for v in x]),
+        "three-groups": write("groups", "x,g", [[v, "abc"[i % 3]] for i, v in enumerate(x)]),
+        "1d": write("1d", "x", [[v] for v in x]),
+        "2d": write("2d", "x,y", rng.normal(size=(30, 2)).tolist()),
+        "3d": write("3d", "x,y,z", rng.normal(size=(30, 3)).tolist()),
+        "2d-groups": write("2d-groups", "x,y,g",
+                           [[a, b, "ab"[i % 2]] for i, (a, b) in
+                            enumerate(rng.normal(size=(30, 2)).tolist())]),
+    }
+
+
+def wrong_dimension(command: str) -> str:
+    if command in ("ci", "band", "cdf"):
+        return "2d"
+    if command == "roc":
+        return "2d-groups"
+    return "1d" if command == "ridge" else "3d"
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(FUZZ_ARGS)),
+       data=st.sampled_from(["constant-1d", "constant-column", "three-groups",
+                             "wrong-dimension"]),
+       bw=st.sampled_from(sorted(FUZZ_BANDWIDTHS)))
+def test_cli_edge_inputs_exit_cleanly(fuzz_inputs, tmp_path_factory, command, data, bw):
+    name = wrong_dimension(command) if data == "wrong-dimension" else data
+    out = tmp_path_factory.mktemp("out") / "artifact"
+    argv = [command, "--input", fuzz_inputs[name], "--grid", "16",
+            "--output", str(out), *FUZZ_ARGS[command], *FUZZ_BANDWIDTHS[bw]]
+    assert cli.main(argv) in (0, 2, 3)
 
 
 # --- cold start ---

@@ -131,6 +131,21 @@ def test_find_modes_merge_radius(rng):
     assert merged.n_modes == 1
 
 
+def test_find_modes_merges_only_converged_starts(rng):
+    model = DensityModel(Sample(bimodal_sample(rng)), GAUSS1, 0.8)
+    modes = find_modes(model, max_iter=1)
+    assert not modes.converged.any()
+    assert modes.n_modes == 0
+    assert np.all(modes.assignments == -1)
+
+
+def test_find_modes_requires_gaussian(rng):
+    sph = DensityModel(Sample(rng.normal(size=20)),
+                       KernelSpec(KernelFamily.SPHERICAL, 1), 0.5)
+    with pytest.raises(ValueError, match="Gaussian"):
+        find_modes(sph)
+
+
 def test_find_modes_empty_starts(rng):
     model = DensityModel(Sample(rng.normal(size=20)), GAUSS1, 0.5)
     with pytest.raises(ValueError, match="nonempty"):
@@ -314,6 +329,20 @@ def test_morse_smale_zero_density_plateau_has_no_minima(rng):
     assert np.all(part.descent_ids == geometry.EXTERIOR)
     assert np.all(part.ascent_ids == geometry.EXTERIOR)
     assert np.unique(part.cell_labels).size == 1
+
+
+def test_morse_smale_sink_failing_curvature_check_is_exterior():
+    # Two points at +-1 with h = 0.5: the KDE has a local minimum at 0.  On
+    # the grid {-100, 0, 100} the density underflows at +-100, so 0 is an
+    # ascent sink; mean shift from it does not move (the sample is symmetric)
+    # and stops on the minimum, which the curvature check rejects.
+    model = DensityModel(Sample(np.array([-1.0, 1.0])), GAUSS1, 0.5)
+    _, converged, _ = mean_shift(model, [0.0])
+    assert converged
+    grid = estimator.evaluate_grid(model, axes=(np.array([-100.0, 0.0, 100.0]),))
+    part = morse_smale(model, grid)
+    assert part.modes.shape[0] == 0
+    assert np.all(part.ascent_ids == geometry.EXTERIOR)
 
 
 @pytest.mark.parametrize("knob", [{"step": 0.1}, {"max_steps": 100}],

@@ -283,6 +283,82 @@ def test_bottleneck_symmetry_and_triangle(rng):
     assert d02 <= d01 + d12 + 1e-12
 
 
+def reference_matchable(d1: np.ndarray, d2: np.ndarray, r: float) -> bool:
+    """Feasibility of a perfect matching at bottleneck radius r.
+
+    Points may match across diagrams at L-infinity cost, or to the diagonal
+    at half their persistence; diagonal-to-diagonal matches are free.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+    n1, n2 = d1.shape[0], d2.shape[0]
+    size = n1 + n2  # left: points of d1 + diagonal slots, right: symmetric
+    rows, cols = [], []
+    diag1 = (d1[:, 0] - d1[:, 1]) / 2.0
+    diag2 = (d2[:, 0] - d2[:, 1]) / 2.0
+    for i in range(n1):
+        for j in range(n2):
+            cost = max(abs(d1[i, 0] - d2[j, 0]), abs(d1[i, 1] - d2[j, 1]))
+            if cost <= r:
+                rows.append(i)
+                cols.append(j)
+        if diag1[i] <= r:  # d1 point to its diagonal slot
+            rows.append(i)
+            cols.append(n2 + i)
+    for j in range(n2):
+        if diag2[j] <= r:  # d2 point matched from its diagonal slot
+            rows.append(n1 + j)
+            cols.append(j)
+        for i in range(n1):  # diagonal-diagonal, always allowed
+            rows.append(n1 + j)
+            cols.append(n2 + i)
+    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size))
+    matching = maximum_bipartite_matching(graph, perm_type="column")
+    return bool(np.all(matching >= 0))
+
+
+def reference_bottleneck(diag1: PersistenceDiagram,
+                         diag2: PersistenceDiagram) -> float:
+    """Exact bottleneck distance between two small 0-dim diagrams: every
+    candidate radius tried in increasing order (the former library form)."""
+    d1, d2 = diag1.pairs, diag2.pairs
+    candidates = {0.0}
+    for i in range(d1.shape[0]):
+        candidates.add((d1[i, 0] - d1[i, 1]) / 2.0)
+        for j in range(d2.shape[0]):
+            candidates.add(max(abs(d1[i, 0] - d2[j, 0]), abs(d1[i, 1] - d2[j, 1])))
+    for j in range(d2.shape[0]):
+        candidates.add((d2[j, 0] - d2[j, 1]) / 2.0)
+    for r in sorted(candidates):
+        if reference_matchable(d1, d2, r):
+            return float(r)
+    raise RuntimeError("no feasible bottleneck radius found")
+
+
+def random_diagram(rng):
+    """0-6 pairs; half the diagrams take values on a coarse lattice, so that
+    births and deaths tie and some pairs have zero persistence."""
+    k = int(rng.integers(0, 7))
+    if rng.random() < 0.5:
+        births = rng.integers(0, 5, k) / 4.0
+        deaths = births - rng.integers(0, 3, k) / 4.0
+    else:
+        births = rng.uniform(0.0, 3.0, k)
+        deaths = births - rng.uniform(0.0, 1.0, k) * (rng.random(k) < 0.8)
+    return diag_of(np.column_stack([births, np.maximum(deaths, 0.0)]))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bottleneck_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    empty = diag_of([])
+    pairs = [(empty, empty), (empty, random_diagram(rng)), (random_diagram(rng), empty)]
+    pairs += [(random_diagram(rng), random_diagram(rng)) for _ in range(60)]
+    for d1, d2 in pairs:
+        assert bottleneck_distance(d1, d2) == reference_bottleneck(d1, d2), (
+            d1.pairs.tolist(), d2.pairs.tolist())
+
+
 def test_stability_bound(rng):
     grid = bimodal_grid(rng, resolution=256)
     noise = rng.uniform(-0.002, 0.002, size=grid.values.size)
