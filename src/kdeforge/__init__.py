@@ -6,6 +6,7 @@ from .estimator import DensityModel, EvalGrid, Sample, density_at, evaluate_grid
 from .inference import (
     BandResult,
     BootstrapPlan,
+    DebiasedDensity,
     IntervalResult,
     band_bootstrap,
     band_debiased_bootstrap,
@@ -13,7 +14,6 @@ from .inference import (
     ci_bootstrap,
     ci_bootstrap_plugin,
     ci_plugin,
-    debias,
 )
 from .kernels import KernelFamily, KernelSpec
 
@@ -21,6 +21,7 @@ __all__ = [
     "BandResult",
     "BandwidthSelector",
     "BootstrapPlan",
+    "DebiasedDensity",
     "DensityModel",
     "EvalGrid",
     "IntervalResult",
@@ -35,7 +36,6 @@ __all__ = [
     "ci_bootstrap",
     "ci_bootstrap_plugin",
     "ci_plugin",
-    "debias",
     "density_at",
     "evaluate_grid",
     "lscv",

@@ -48,7 +48,13 @@ class BandwidthSelector:
         if self.method is SelectorMethod.FIXED:
             if self.fixed_h is None or self.fixed_h <= 0:
                 raise ValueError("fixed selector requires h > 0")
+        elif self.fixed_h is not None:
+            raise ValueError(f"a fixed bandwidth needs the 'fixed' method, "
+                             f"not {self.method.value!r}")
         if self.lscv_grid is not None:
+            if self.method is not SelectorMethod.LSCV:
+                raise ValueError(f"an LSCV grid needs the 'lscv' method, "
+                                 f"not {self.method.value!r}")
             g = np.asarray(self.lscv_grid, dtype=float)
             if np.any(g <= 0) or np.any(np.diff(g) <= 0):
                 raise ValueError("LSCV grid must be positive and increasing")
@@ -187,8 +193,7 @@ def laplacian_squared_integral(model: estimator.DensityModel,
     so on the quadrature grid it is the sum over l of the per-axis factor
     products with phi'' on axis l.
     """
-    if not model.kernel.differentiable:
-        raise kernels.UnsupportedDerivativeError("laplacian requires the Gaussian kernel")
+    estimator._require_gaussian(model, "laplacian")
     if model.dim > 2:
         raise ValueError("curvature quadrature supports d <= 2 only")
     res = resolution if model.dim == 1 else min(resolution, 128)

@@ -153,12 +153,12 @@ def _parse_lscv_grid(spec: str) -> np.ndarray:
 
 
 def select_bandwidth(args, sample: Sample, kernel: KernelSpec) -> float:
-    # Selector errors (a missing fixed bandwidth, a bad LSCV grid) are
-    # configuration errors, so the selector is built outside the try below.
-    method = SelectorMethod(args.bandwidth_method)
-    grid = (_parse_lscv_grid(args.lscv_grid)
-            if method is SelectorMethod.LSCV and args.lscv_grid else None)
-    sel = BandwidthSelector(method, fixed_h=args.bandwidth, lscv_grid=grid)
+    # Selector errors (a missing fixed bandwidth, a bad LSCV grid, a value the
+    # method would not read) are configuration errors, so the selector is
+    # built outside the try below.
+    grid = _parse_lscv_grid(args.lscv_grid) if args.lscv_grid else None
+    sel = BandwidthSelector(SelectorMethod(args.bandwidth_method),
+                            fixed_h=args.bandwidth, lscv_grid=grid)
     try:
         return sel.select(sample, kernel)
     except (ValueError, bandwidth.DegenerateSampleError) as exc:
@@ -193,9 +193,11 @@ def _model(args) -> DensityModel:
     return DensityModel(sample, kernel, h)
 
 
-def _require_seed(args):
+def _plan(args) -> inference.BootstrapPlan:
+    """The bootstrap plan of --boot and --seed, which has no default."""
     if args.seed is None:
         raise ConfigError("bootstrap paths require an explicit --seed")
+    return inference.BootstrapPlan(args.boot, args.seed)
 
 
 def _write_json(path: str | None, payload: dict):
@@ -267,11 +269,9 @@ def cmd_ci(args):
     if args.method == "plugin":
         result = inference.ci_plugin(model, axis, args.alpha)
     else:
-        _require_seed(args)
-        plan = inference.BootstrapPlan(args.boot, args.seed)
         fn = (inference.ci_bootstrap_plugin if args.method == "boot-plugin"
               else inference.ci_bootstrap)
-        result = fn(model, axis, args.alpha, plan)
+        result = fn(model, axis, args.alpha, _plan(args))
     _write_json(args.output, result.to_dict())
     print(f"ci: method={result.method} alpha={args.alpha} points={axis.size}")
 
@@ -281,15 +281,10 @@ def cmd_band(args):
     axis = estimator.default_axes(model, resolution=args.grid)[0]
     if args.method == "evt":
         result = inference.band_plugin_evt(model, axis, args.alpha)
-    elif args.method == "boot":
-        _require_seed(args)
-        result = inference.band_bootstrap(
-            model, axis, args.alpha, inference.BootstrapPlan(args.boot, args.seed))
     else:
-        _require_seed(args)
-        result = inference.band_debiased_bootstrap(
-            model.sample, model.kernel, model.bandwidth, axis, args.alpha,
-            inference.BootstrapPlan(args.boot, args.seed))
+        fn = (inference.band_bootstrap if args.method == "boot"
+              else inference.band_debiased_bootstrap)
+        result = fn(model, axis, args.alpha, _plan(args))
     _write_json(args.output, result.to_dict())
     hw = "varies" if result.halfwidth is None else f"{result.halfwidth:.6g}"
     print(f"band: method={result.method} alpha={args.alpha} halfwidth={hw}")
@@ -374,9 +369,8 @@ def cmd_roc(args):
     h_g = select_bandwidth(args, diseased, kernel)
     t_grid = distfunc.default_t_grid(args.grid)
     if args.seed is not None:
-        plan = inference.BootstrapPlan(args.boot, args.seed)
         band = distfunc.roc_band(healthy, diseased, kernel, h_f, h_g,
-                                 args.alpha, plan, t_grid)
+                                 args.alpha, _plan(args), t_grid)
         _write_csv(args.output, ["t", "roc", "lower", "upper"],
                    [t_grid, band.center, band.lower, band.upper])
         print(f"roc: groups=({lab_h},{lab_d}) band halfwidth={band.halfwidth:.6g}")
@@ -387,10 +381,10 @@ def cmd_roc(args):
 
 
 def cmd_simulate(args):
-    _require_seed(args)
+    plan = _plan(args)  # each trial draws its own plan; this checks the flags
     report = simulate.simulate_coverage(
-        args.truth, args.n, args.method, args.alpha, args.trials, args.seed,
-        replicates=args.boot, grid_size=args.grid)
+        args.truth, args.n, args.method, args.alpha, args.trials, plan.seed,
+        replicates=plan.replicates, grid_size=args.grid)
     _write_json(args.output, report.to_dict())
     print(f"simulate: method={report.method} target={report.target} "
           f"coverage={report.coverage:.3f} (nominal {report.nominal:.2f}, "
@@ -404,19 +398,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="input CSV path")
+    def output(p, grid=True):
+        """--output and, for a subcommand that evaluates on a grid, --grid."""
+        if grid:
+            p.add_argument("--grid", type=int, default=256,
+                           help="grid resolution per dimension")
+        p.add_argument("--output", default=None, help="output file path")
+
+    def common(p, grid=True):
+        """The flags of a subcommand that estimates from --input."""
+        p.add_argument("--input", required=True, help="input CSV path")
         p.add_argument("--kernel", choices=["gaussian", "spherical"],
                        default="gaussian")
         p.add_argument("--bandwidth-method", choices=["rot", "lscv", "plugin",
                                                       "fixed"], default="rot")
         p.add_argument("--bandwidth", type=float, default=None,
                        help="fixed bandwidth (with --bandwidth-method fixed)")
-        p.add_argument("--lscv-grid", default=None, metavar="LO:HI:COUNT")
-        p.add_argument("--grid", type=int, default=256,
-                       help="grid resolution per dimension")
-        p.add_argument("--output", default=None, help="output file path")
+        p.add_argument("--lscv-grid", default=None, metavar="LO:HI:COUNT",
+                       help="LSCV candidates (with --bandwidth-method lscv)")
+        output(p, grid)
 
     p = sub.add_parser("density", help="evaluate the KDE on a grid")
     common(p)
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("bandwidth", help="select a bandwidth")
-    common(p)
+    common(p, grid=False)
     p.set_defaults(func=cmd_bandwidth)
 
     p = sub.add_parser("ci", help="pointwise confidence intervals")
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn in (("modes", cmd_modes), ("ridge", cmd_ridge)):
         p = sub.add_parser(name)
-        common(p)
+        common(p, grid=False)
         p.add_argument("--tol", type=float, default=1e-7)
         p.add_argument("--max-iter", type=int, default=500)
         p.set_defaults(func=fn)
@@ -482,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roc)
 
     p = sub.add_parser("simulate", help="Monte Carlo coverage study")
-    common(p, needs_input=False)
+    output(p)
     p.add_argument("--truth", default="normal",
                    help="'normal' or 'mixture:w,mu1,mu2,sd1,sd2'")
     p.add_argument("--n", type=int, default=1000)

@@ -213,8 +213,7 @@ def kernel_value_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:
 
 def kernel_laplacian_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:
     """(n, m) matrix of (sum_l d^2/du_l^2) K(u) at u = (x_q - X_i) / h."""
-    if not model.kernel.differentiable:
-        raise UnsupportedDerivativeError("laplacian requires the Gaussian kernel")
+    _require_gaussian(model, "laplacian")
     x = _query_matrix(model, queries)
     out = np.empty((model.n, x.shape[0]))
     for rows, _, sq in _blocks(model, x):
@@ -235,16 +234,15 @@ def density_at(model: DensityModel, x) -> float:
     return float(density(model, x)[0])
 
 
-def _require_gaussian(model: DensityModel):
+def _require_gaussian(model: DensityModel, what: str):
+    """Refuse a kernel without analytic derivatives: ``what`` needs them."""
     if not model.kernel.differentiable:
-        raise UnsupportedDerivativeError(
-            "density derivatives require the Gaussian kernel"
-        )
+        raise UnsupportedDerivativeError(f"{what} requires the Gaussian kernel")
 
 
 def derivative_at(model: DensityModel, x, beta) -> float:
     """Partial derivative D^beta p_hat(x) for a multi-index with |beta| <= 2."""
-    _require_gaussian(model)
+    _require_gaussian(model, "a density derivative")
     beta = np.asarray(beta, dtype=int)
     if beta.shape != (model.dim,) or np.any(beta < 0):
         raise ValueError("beta must be a nonnegative multi-index of length d")
@@ -266,14 +264,14 @@ def gradient_at(model: DensityModel, x) -> np.ndarray:
 
 def gradient(model: DensityModel, queries) -> np.ndarray:
     """(m, d) array of KDE gradients."""
-    _require_gaussian(model)
+    _require_gaussian(model, "a density derivative")
     _, s1 = _kernel_sums(model, _query_matrix(model, queries), 1)
     return _gradients(model, s1)
 
 
 def hessian_at(model: DensityModel, x) -> np.ndarray:
     """Hessian matrix of the KDE at a single point (exactly symmetric)."""
-    _require_gaussian(model)
+    _require_gaussian(model, "a density derivative")
     s0, _, s2 = _kernel_sums(model, _query_matrix(model, x)[:1], 2)
     return _hessians(model, s0, s2)[0]
 

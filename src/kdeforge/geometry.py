@@ -31,7 +31,6 @@ import numpy as np
 
 from . import estimator
 from .estimator import DensityModel, EvalGrid
-from .kernels import KernelFamily
 
 EXTERIOR = -1  # shared label for flows that leave the grid or reach no extremum
 
@@ -125,11 +124,6 @@ def _mean_shift_step(model: DensityModel, x: np.ndarray):
     return -model.bandwidth * s1[ok] / s0[ok, None], ok
 
 
-def _require_gaussian(model: DensityModel, what: str):
-    if model.kernel.family is not KernelFamily.GAUSSIAN:
-        raise ValueError(f"{what} requires the Gaussian kernel")
-
-
 def mean_shift(model: DensityModel, start, tol: float = 1e-8,
                max_iter: int = 500):
     """Run mean shift from a single start; returns (point, converged, iters).
@@ -137,7 +131,7 @@ def mean_shift(model: DensityModel, start, tol: float = 1e-8,
     Exceeding ``max_iter`` clears the converged flag rather than raising, and
     so does a start so far from the data that every kernel weight underflows.
     """
-    _require_gaussian(model, "mean shift")
+    estimator._require_gaussian(model, "mean shift")
     start = np.atleast_1d(np.asarray(start, dtype=float))
     pts, conv, _, iters = _ascend(model, start[None, :], _mean_shift_step, tol,
                                   max_iter)
@@ -174,7 +168,7 @@ def find_modes(model: DensityModel, starts=None, tol: float = 1e-8,
     assigned -1.  Candidate modes failing the negative-curvature check
     (largest Hessian eigenvalue < 0) are discarded together with their basins.
     """
-    _require_gaussian(model, "mean shift")
+    estimator._require_gaussian(model, "mean shift")
     if starts is None:
         starts = model.sample.data
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
@@ -220,7 +214,7 @@ def scms(model: DensityModel, starts=None, tol: float = 1e-7,
     """
     if model.dim < 2:
         raise ValueError("SCMS requires d >= 2")
-    _require_gaussian(model, "SCMS")
+    estimator._require_gaussian(model, "SCMS")
     if starts is None:
         starts = model.sample.data
         if starts.shape[0] > max_starts:
@@ -317,7 +311,7 @@ def morse_smale(model: DensityModel, grid: EvalGrid) -> MorseSmalePartition:
     """
     if model.dim > 2:
         raise ValueError("grid-based Morse-Smale supports d <= 2 only")
-    _require_gaussian(model, "Morse-Smale flows")
+    estimator._require_gaussian(model, "Morse-Smale flows")
 
     peaks, up = np.unique(_flow_sinks(grid, 1.0), return_inverse=True)
     modes = find_modes(model, grid.points[peaks])

@@ -40,7 +40,6 @@ import numpy as np
 
 from . import estimator, kernels
 from .estimator import DensityModel, Sample
-from .kernels import KernelFamily
 
 # A block of replicate counts holds about this many float64 values (16 MB),
 # in whole multiples of _ROW_ALIGN replicates (96 at n = 20 000).
@@ -257,20 +256,17 @@ def _sup_quantile(boot: np.ndarray, center: np.ndarray, alpha: float) -> float:
     return empirical_quantile(np.max(np.abs(boot - center), axis=1), alpha)
 
 
-def _as_grid(model_dim: int, grid) -> np.ndarray:
+def _as_grid(model: DensityModel, grid) -> np.ndarray:
+    """The (m, d) evaluation grid; a 1-D array is m points, one per row."""
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim == 1:
-        grid = grid[:, None]
-    if grid.shape[1] != model_dim:
-        raise ValueError("grid dimension mismatch")
-    return grid
+    return estimator._query_matrix(model, grid[:, None] if grid.ndim == 1 else grid)
 
 
 def ci_plugin(model: DensityModel, grid, alpha: float) -> IntervalResult:
     """Plug-in normal interval p_hat(x) +/- z sqrt(mu_k p_hat(x) / (n h^d))."""
     from scipy.special import ndtri
     _check_alpha(alpha)
-    grid = _as_grid(model.dim, grid)
+    grid = _as_grid(model, grid)
     center = estimator.density(model, grid)
     mu_k = kernels.constants(model.kernel)["mu_k"]
     z = ndtri(1.0 - alpha / 2.0)
@@ -283,7 +279,7 @@ def ci_plugin(model: DensityModel, grid, alpha: float) -> IntervalResult:
 
 def _plain_bootstrap(model: DensityModel, grid, plan: BootstrapPlan):
     """The grid, p_hat and the (B, m) bootstrap KDE values from one kernel matrix."""
-    grid = _as_grid(model.dim, grid)
+    grid = _as_grid(model, grid)
     phi = estimator.kernel_value_matrix(model, grid)
     scale = model.n * model.bandwidth**model.dim
     (boot,) = _replicate_products(plan, [phi])
@@ -343,12 +339,13 @@ def band_plugin_evt(model: DensityModel, grid, alpha: float) -> BandResult:
     no coverage guarantee at practical n.
     """
     _check_alpha(alpha)
-    if model.dim != 1 or model.kernel.family is not KernelFamily.GAUSSIAN:
-        raise ValueError("extreme-value band requires d = 1 and the Gaussian kernel")
+    if model.dim != 1:
+        raise ValueError("extreme-value band requires d = 1")
+    estimator._require_gaussian(model, "extreme-value band")
     h = model.bandwidth
     if h >= 1.0:
         raise ValueError("extreme-value band requires h < 1")
-    grid = _as_grid(model.dim, grid)
+    grid = _as_grid(model, grid)
     center = estimator.density(model, grid)
     mu_k = kernels.constants(model.kernel)["mu_k"]
     root = math.sqrt(-2.0 * math.log(h))
@@ -386,10 +383,7 @@ class DebiasedDensity:
     """
 
     def __init__(self, model: DensityModel):
-        if not model.kernel.differentiable:
-            raise kernels.UnsupportedDerivativeError(
-                "debiasing requires the Gaussian kernel"
-            )
+        estimator._require_gaussian(model, "debiasing")
         self.model = model
         self.sigma_k2 = kernels.constants(model.kernel)["sigma_k2"]
 
@@ -410,20 +404,15 @@ class DebiasedDensity:
         return out
 
     def evaluate(self, queries) -> np.ndarray:
-        grid = _as_grid(self.model.dim, queries)
+        grid = _as_grid(self.model, queries)
         return self.correction_matrix(grid).sum(axis=0)
 
     def __call__(self, x) -> float:
         return float(self.evaluate(x)[0])
 
 
-def debias(model: DensityModel) -> DebiasedDensity:
-    """Return the debiased evaluator for ``model``."""
-    return DebiasedDensity(model)
-
-
-def band_debiased_bootstrap(sample: Sample, kernel: kernels.KernelSpec, h: float,
-                            grid, alpha: float, plan: BootstrapPlan) -> BandResult:
+def band_debiased_bootstrap(model: DensityModel, grid, alpha: float,
+                            plan: BootstrapPlan) -> BandResult:
     """Bootstrap sup-norm band around the bias-corrected KDE.
 
     Each replicate recomputes the full bias-corrected estimate from the
@@ -431,8 +420,7 @@ def band_debiased_bootstrap(sample: Sample, kernel: kernels.KernelSpec, h: float
     curve.  Targets the true density; generally wider than ``band_bootstrap``.
     """
     _check_bootstrap(alpha, plan)
-    model = DensityModel(sample, kernel, h)
-    grid = _as_grid(model.dim, grid)
+    grid = _as_grid(model, grid)
     contrib = DebiasedDensity(model).correction_matrix(grid)
     center = contrib.sum(axis=0)
     (boot,) = _replicate_products(plan, [contrib])

@@ -112,8 +112,16 @@ class CoverageReport:
         }
 
 
-METHODS = ("ci-plugin", "ci-bootstrap-plugin", "ci-bootstrap",
-           "band-bootstrap", "band-debiased")
+# Each construction, called as (model, grid, alpha, plan).  The entries look
+# the function up on ``inference`` at call time, so that a function rebound
+# there, such as a timing wrapper, is the one that runs.
+METHODS = {
+    "ci-plugin": lambda model, grid, alpha, plan: inference.ci_plugin(model, grid, alpha),
+    "ci-bootstrap-plugin": lambda *args: inference.ci_bootstrap_plugin(*args),
+    "ci-bootstrap": lambda *args: inference.ci_bootstrap(*args),
+    "band-bootstrap": lambda *args: inference.band_bootstrap(*args),
+    "band-debiased": lambda *args: inference.band_debiased_bootstrap(*args),
+}
 
 
 def parse_truth(spec: str):
@@ -127,22 +135,6 @@ def parse_truth(spec: str):
             raise ValueError("mixture truth needs 5 parameters: w,mu1,mu2,sd1,sd2")
         return NormalMixtureTruth(parts[0], parts[1], parts[2], parts[3], parts[4])
     raise ValueError(f"unknown truth spec: {spec!r}")
-
-
-def _build(method: str, model: DensityModel, grid: np.ndarray, alpha: float,
-           plan: inference.BootstrapPlan | None):
-    if method == "ci-plugin":
-        return inference.ci_plugin(model, grid, alpha)
-    if method == "ci-bootstrap-plugin":
-        return inference.ci_bootstrap_plugin(model, grid, alpha, plan)
-    if method == "ci-bootstrap":
-        return inference.ci_bootstrap(model, grid, alpha, plan)
-    if method == "band-bootstrap":
-        return inference.band_bootstrap(model, grid, alpha, plan)
-    if method == "band-debiased":
-        return inference.band_debiased_bootstrap(
-            model.sample, model.kernel, model.bandwidth, grid, alpha, plan)
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
 def simulate_coverage(truth, n: int, method: str, alpha: float, trials: int,
@@ -161,7 +153,7 @@ def simulate_coverage(truth, n: int, method: str, alpha: float, trials: int,
         raise ValueError("trials must be >= 1")
     inference.check_seed(seed)
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+        raise ValueError(f"unknown method {method!r}; choose from {tuple(METHODS)}")
     target = "true" if method == "band-debiased" else "smoothed"
     lo, hi = truth.central_region()
     grid = (np.asarray(eval_points, dtype=float).ravel()
@@ -177,7 +169,7 @@ def simulate_coverage(truth, n: int, method: str, alpha: float, trials: int,
         h_t = h if h is not None else bandwidth.rule_of_thumb(sample)
         model = DensityModel(sample, kernel, h_t)
         plan = inference.BootstrapPlan(replicates, int(rng.integers(2**63)))
-        result = _build(method, model, grid, alpha, plan)
+        result = METHODS[method](model, grid, alpha, plan)
         target_vals = (truth.pdf(grid) if target == "true"
                        else truth.smoothed_pdf(grid, h_t))
         covered = np.all((result.lower <= target_vals)

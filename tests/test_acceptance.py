@@ -106,8 +106,7 @@ def paired_band_study():
         plan = BootstrapPlan(B, int(rng.integers(2**63)))
         model = DensityModel(sample, GAUSS1, h)
         plain = inference.band_bootstrap(model, grid, 0.05, plan)
-        deb = inference.band_debiased_bootstrap(sample, GAUSS1, h, grid, 0.05,
-                                                plan)
+        deb = inference.band_debiased_bootstrap(model, grid, 0.05, plan)
         plain_hits[t] = np.all((plain.lower <= truth) & (truth <= plain.upper))
         debias_hits[t] = np.all((deb.lower <= truth) & (truth <= deb.upper))
         wider[t] = deb.halfwidth > plain.halfwidth

@@ -237,3 +237,8 @@ def test_selector_validation():
         BandwidthSelector(SelectorMethod.FIXED, fixed_h=-1.0)
     with pytest.raises(ValueError):
         BandwidthSelector(SelectorMethod.LSCV, lscv_grid=[0.5, 0.2])
+    # a value the method would not read is refused, not dropped
+    with pytest.raises(ValueError, match="'fixed' method, not 'rot'"):
+        BandwidthSelector(SelectorMethod.RULE_OF_THUMB, fixed_h=0.3)
+    with pytest.raises(ValueError, match="'lscv' method, not 'plugin'"):
+        BandwidthSelector(SelectorMethod.AMISE_PLUGIN, lscv_grid=[0.2, 0.5])

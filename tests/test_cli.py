@@ -1,9 +1,12 @@
+import argparse
 import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,12 +263,19 @@ def test_bandwidth_subcommand(tmp_path, normal_csv, capsys):
                      "fixed", "--bandwidth", "0.25", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["bandwidth"] == 0.25
     # a fixed bandwidth must be positive; a bad LSCV grid is a config error
-    # for LSCV and ignored by every other method
+    # whatever the method
     bad = ["bandwidth", "--input", normal_csv, "--lscv-grid", "0.1:1.0"]
     assert cli.main(bad + ["--bandwidth-method", "fixed", "--bandwidth", "0"]) == 2
     assert cli.main(bad + ["--bandwidth-method", "lscv"]) == 2
-    assert cli.main(bad + ["--bandwidth-method", "plugin"]) == 0
+    assert cli.main(bad + ["--bandwidth-method", "plugin"]) == 2
     capsys.readouterr()
+    # a value the chosen method would not read is a config error, not dropped
+    base = ["bandwidth", "--input", normal_csv, "--output", str(out)]
+    assert cli.main(base + ["--bandwidth", "0.3"]) == 2
+    assert "'fixed' method, not 'rot'" in capsys.readouterr().err
+    assert cli.main(base + ["--bandwidth-method", "plugin",
+                            "--lscv-grid", "0.1:1.0:8"]) == 2
+    assert "'lscv' method, not 'plugin'" in capsys.readouterr().err
 
 
 def test_ci_and_band_subcommands(tmp_path, normal_csv, capsys):
@@ -332,7 +342,8 @@ def test_ci_and_band_reject_multivariate_data(tmp_path, rng, capsys, command):
 def test_unsupported_dimension_is_data_error(tmp_path, rng, capsys, command, dim):
     p = tmp_path / "x.csv"
     np.savetxt(p, rng.normal(size=(40, dim)), delimiter=",")
-    assert cli.main([command, "--input", str(p), "--grid", "8",
+    grid = [] if command == "ridge" else ["--grid", "8"]  # ridge takes no grid
+    assert cli.main([command, "--input", str(p), *grid,
                      "--output", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {command} requires ") and f"got d={dim}" in err
@@ -651,16 +662,66 @@ def test_negative_seed_is_config_error(normal_csv, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+# --- parser surface: every flag is read by its subcommand ---
+
+
+ESTIMATE = {"--input", "--kernel", "--bandwidth-method", "--bandwidth", "--lscv-grid",
+            "--output"}
+BOOTSTRAP = {"--alpha", "--boot", "--seed"}
+PARSER_SURFACE = {
+    "density": ESTIMATE | {"--grid", "--format"},
+    "bandwidth": ESTIMATE,
+    "ci": ESTIMATE | BOOTSTRAP | {"--grid", "--method"},
+    "band": ESTIMATE | BOOTSTRAP | {"--grid", "--method"},
+    "modes": ESTIMATE | {"--tol", "--max-iter"},
+    "ridge": ESTIMATE | {"--tol", "--max-iter"},
+    "levelset": ESTIMATE | {"--grid", "--lambda"},
+    "morse": ESTIMATE | {"--grid"},
+    "tree": ESTIMATE | {"--grid"},
+    "persist": ESTIMATE | {"--grid"},
+    "cdf": ESTIMATE | {"--grid"},
+    "roc": ESTIMATE | BOOTSTRAP | {"--grid", "--group-col"},
+    "simulate": BOOTSTRAP | {"--grid", "--output", "--truth", "--n", "--method",
+                             "--trials"},
+}
+
+
+def subparsers() -> dict:
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_parser_surface_matches_table():
+    surface = {name: {opt for a in p._actions for opt in a.option_strings}
+                     - {"-h", "--help"}
+               for name, p in subparsers().items()}
+    assert surface == PARSER_SURFACE
+
+
+def test_readme_cli_lines_parse():
+    # every `kdeforge ...` line of the README's CLI code block, one per subcommand
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("kdeforge ")]
+    assert {argv[0] for argv in commands} == set(subparsers())
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
+
+
 # --- fuzz: every input ends in exit 0, 2 or 3 ---
 
 
+FUZZ_GRID = ["--grid", "16"]
 FUZZ_ARGS = {  # subcommand: its own arguments, at small sizes
-    "density": [], "bandwidth": [], "modes": [], "ridge": [], "morse": [],
-    "tree": [], "persist": [], "cdf": [],
-    "ci": ["--method", "boot", "--boot", "20", "--seed", "1"],
-    "band": ["--boot", "20", "--seed", "1"],
-    "levelset": ["--lambda", "0.01"],
-    "roc": ["--group-col", "g", "--boot", "20", "--seed", "1"],
+    "density": FUZZ_GRID, "bandwidth": [], "modes": [], "ridge": [],
+    "morse": FUZZ_GRID, "tree": FUZZ_GRID, "persist": FUZZ_GRID, "cdf": FUZZ_GRID,
+    "ci": [*FUZZ_GRID, "--method", "boot", "--boot", "20", "--seed", "1"],
+    "band": [*FUZZ_GRID, "--boot", "20", "--seed", "1"],
+    "levelset": [*FUZZ_GRID, "--lambda", "0.01"],
+    "roc": [*FUZZ_GRID, "--group-col", "g", "--boot", "20", "--seed", "1"],
 }
 FUZZ_BANDWIDTHS = {
     "rule-of-thumb": [],
@@ -713,7 +774,7 @@ def wrong_dimension(command: str) -> str:
 def test_cli_edge_inputs_exit_cleanly(fuzz_inputs, tmp_path_factory, command, data, bw):
     name = wrong_dimension(command) if data == "wrong-dimension" else data
     out = tmp_path_factory.mktemp("out") / "artifact"
-    argv = [command, "--input", fuzz_inputs[name], "--grid", "16",
+    argv = [command, "--input", fuzz_inputs[name],
             "--output", str(out), *FUZZ_ARGS[command], *FUZZ_BANDWIDTHS[bw]]
     assert cli.main(argv) in (0, 2, 3)
 

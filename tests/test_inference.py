@@ -11,6 +11,7 @@ from kdeforge import estimator, inference
 from kdeforge.estimator import DensityModel, Sample
 from kdeforge.inference import (
     BootstrapPlan,
+    DebiasedDensity,
     band_bootstrap,
     band_debiased_bootstrap,
     band_plugin_evt,
@@ -18,7 +19,6 @@ from kdeforge.inference import (
     ci_bootstrap,
     ci_bootstrap_plugin,
     ci_plugin,
-    debias,
     empirical_quantile,
     evt_quantile,
     resample_counts,
@@ -427,7 +427,7 @@ def test_band_bootstrap_contains_most_replicates(rng):
 def test_debias_formula(rng):
     data = rng.normal(size=200)
     model = model_of(data, 0.4)
-    deb = debias(model)
+    deb = DebiasedDensity(model)
     sigma_k2 = 1.0
     for x in np.linspace(-2, 2, 9):
         lap = np.trace(estimator.hessian_at(model, [x]))
@@ -441,7 +441,7 @@ def test_correction_matrix_matches_two_matrix_form(monkeypatch, rng, d, n, m):
     model = DensityModel(Sample(rng.normal(size=(n, d))),
                          KernelSpec(KernelFamily.GAUSSIAN, d), 0.6)
     x = rng.normal(scale=1.5, size=(m, d))
-    deb = debias(model)
+    deb = DebiasedDensity(model)
     ref = (estimator.kernel_value_matrix(model, x)
            - 0.5 * deb.sigma_k2 * estimator.kernel_laplacian_matrix(model, x))
     ref /= n * 0.6**d
@@ -457,7 +457,8 @@ def test_debiased_band_memory_is_bounded(rng):
     grid = np.linspace(-4, 4, 256)
     tracemalloc.start()
     try:
-        band_debiased_bootstrap(sample, GAUSS1, 0.14, grid, 0.05, BootstrapPlan(1000, 3))
+        band_debiased_bootstrap(DensityModel(sample, GAUSS1, 0.14), grid, 0.05,
+                                BootstrapPlan(1000, 3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -469,7 +470,7 @@ def test_debiased_band_memory_is_bounded(rng):
 def test_debias_can_go_negative():
     # single point, tiny h: the correction overshoots in the tails
     model = model_of(np.array([0.0]), 1.0)
-    deb = debias(model)
+    deb = DebiasedDensity(model)
     vals = deb.evaluate(np.linspace(-4, 4, 101)[:, None])
     assert vals.min() < 0
 
@@ -478,7 +479,7 @@ def test_debias_requires_gaussian():
     sph = DensityModel(Sample(np.array([0.0, 1.0])),
                        KernelSpec(KernelFamily.SPHERICAL, 1), 0.5)
     with pytest.raises(UnsupportedDerivativeError):
-        debias(sph)
+        DebiasedDensity(sph)
 
 
 def test_debias_reduces_bias_on_curved_density():
@@ -490,20 +491,19 @@ def test_debias_reduces_bias_on_curved_density():
     model = model_of(data, h)
     truth = norm.pdf(0.0)
     plain_err = abs(estimator.density_at(model, [0.0]) - truth)
-    deb_err = abs(debias(model)([0.0]) - truth)
+    deb_err = abs(DebiasedDensity(model)([0.0]) - truth)
     assert deb_err < 0.25 * plain_err
 
 
 def test_band_debiased_bootstrap_properties(rng):
     data = rng.normal(size=400)
-    sample = Sample(data)
     plan = BootstrapPlan(replicates=100, seed=29)
     grid = np.linspace(-3, 3, 257)
-    band = band_debiased_bootstrap(sample, GAUSS1, 0.3, grid, 0.05, plan)
+    model = model_of(data, 0.3)
+    band = band_debiased_bootstrap(model, grid, 0.05, plan)
     assert band.target == "true"
     assert band.method == "band-debiased"
-    model = model_of(data, 0.3)
-    deb = debias(model)
+    deb = DebiasedDensity(model)
     np.testing.assert_allclose(band.center, deb.evaluate(grid[:, None]), atol=1e-12)
     np.testing.assert_allclose(band.center_clipped, np.maximum(band.center, 0.0))
     widths = band.upper - band.lower
@@ -526,7 +526,7 @@ def test_debias_correction_shrinks_quadratically(rng):
     hs = [0.4, 0.2, 0.1]
     for h in hs:
         model = model_of(data, h)
-        diff = debias(model).evaluate(grid) - estimator.density(model, grid)
+        diff = DebiasedDensity(model).evaluate(grid) - estimator.density(model, grid)
         sups.append(np.max(np.abs(diff)))
     slope = np.polyfit(np.log(hs), np.log(sups), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.3)
