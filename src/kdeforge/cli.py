@@ -194,10 +194,19 @@ def _model(args) -> DensityModel:
 
 
 def _plan(args) -> inference.BootstrapPlan:
-    """The bootstrap plan of --boot and --seed, which has no default."""
+    """The bootstrap plan of --boot (1000 replicates by default) and --seed,
+    which has no default."""
     if args.seed is None:
         raise ConfigError("bootstrap paths require an explicit --seed")
-    return inference.BootstrapPlan(args.boot, args.seed)
+    return inference.BootstrapPlan(1000 if args.boot is None else args.boot, args.seed)
+
+
+def _refuse_plan(args, path: str):
+    """A --boot or --seed given to a path that draws no replicates is a
+    configuration error, not dropped."""
+    for flag, value in (("--boot", args.boot), ("--seed", args.seed)):
+        if value is not None:
+            raise ConfigError(f"{flag} is read only by a bootstrap, not by {path}")
 
 
 def _write_json(path: str | None, payload: dict):
@@ -267,6 +276,7 @@ def cmd_ci(args):
     model = _model(args)
     axis = estimator.default_axes(model, resolution=args.grid)[0]
     if args.method == "plugin":
+        _refuse_plan(args, "--method plugin")
         result = inference.ci_plugin(model, axis, args.alpha)
     else:
         fn = (inference.ci_bootstrap_plugin if args.method == "boot-plugin"
@@ -280,6 +290,7 @@ def cmd_band(args):
     model = _model(args)
     axis = estimator.default_axes(model, resolution=args.grid)[0]
     if args.method == "evt":
+        _refuse_plan(args, "--method evt")
         result = inference.band_plugin_evt(model, axis, args.alpha)
     else:
         fn = (inference.band_bootstrap if args.method == "boot"
@@ -375,6 +386,7 @@ def cmd_roc(args):
                    [t_grid, band.center, band.lower, band.upper])
         print(f"roc: groups=({lab_h},{lab_d}) band halfwidth={band.halfwidth:.6g}")
     else:
+        _refuse_plan(args, "roc without --seed (the plain curve)")
         curve = distfunc.roc_curve(healthy, diseased, kernel, h_f, h_g, t_grid)
         _write_csv(args.output, ["t", "roc"], [curve.t, curve.values])
         print(f"roc: groups=({lab_h},{lab_d}) curve on {t_grid.size} points")
@@ -432,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["plugin", "boot-plugin", "boot"],
                    default="plugin")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--boot", type=int, default=1000)
+    p.add_argument("--boot", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_ci)
 
@@ -440,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--method", choices=["evt", "boot", "debias"], default="boot")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--boot", type=int, default=1000)
+    p.add_argument("--boot", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_band)
 
@@ -476,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--group-col", default=None)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--boot", type=int, default=1000)
+    p.add_argument("--boot", type=int, default=None)
     p.add_argument("--seed", type=int, default=None,
                    help="enables the bootstrap band")
     p.set_defaults(func=cmd_roc)
@@ -490,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="band-bootstrap")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--boot", type=int, default=1000)
+    p.add_argument("--boot", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 

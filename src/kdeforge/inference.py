@@ -25,6 +25,11 @@ Simultaneous constructions:
 Every bootstrap here and in ``distfunc.roc_band`` reduces replicate counts @
 per-observation contributions; ``_replicate_products`` multiplies the counts
 in fixed-size blocks of replicates as it draws them, so memory stays bounded.
+The counts are those of ``default_rng([seed, r]).integers(0, n, n)``, but a
+replicate of at most 2**14 draws takes them from its raw PCG64 words, a
+chunk of replicates at a time (``_raw_counts``): numpy's bounded-integer rule
+applied to whole arrays, with the rare replicate where numpy redraws a word
+redone on its Generator.
 
 All sup norms are taken over the evaluation grid, not the continuum; use at
 least ~256 grid points per dimension.  Empirical quantiles are pinned to the
@@ -33,6 +38,7 @@ ceil((1-alpha) B)-th order statistic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +51,9 @@ from .estimator import DensityModel, Sample
 # in whole multiples of _ROW_ALIGN replicates (96 at n = 20 000).
 _COUNT_BLOCK_ELEMENTS = 2**21
 _ROW_ALIGN = 16
+# A chunk of replicates whose counts come from raw generator words holds about
+# this many draws, so its int64 scratch (256 KB an array) stays in cache.
+_RAW_CHUNK_DRAWS = 2**15
 
 
 @dataclass(frozen=True)
@@ -54,7 +63,10 @@ class BootstrapPlan:
     results depend neither on replicate order nor on blocking.  The stream is
     default_rng's, but its generators are seeded a block of replicates at a
     time, from SeedSequence words computed for the whole block at once
-    (``_replicate_rngs``)."""
+    (``_bit_generators``), and a replicate of at most 2**14 draws has its
+    indices derived from its raw PCG64 words as numpy's ``integers`` derives
+    them, redone on ``rng(r)`` where numpy would redraw a word
+    (``_count_blocks``)."""
 
     replicates: int
     seed: int
@@ -133,23 +145,29 @@ def _seed_words(seed: int, replicates: np.ndarray) -> np.ndarray:
     """(rows, 4) uint64: row i holds what
     SeedSequence([seed, replicates[i]]).generate_state(4, np.uint64) gives.
 
-    numpy's SeedSequence hashing in uint32 array arithmetic, one array
-    operation per step for all replicates: the entropy is the seed's 32-bit
+    numpy's SeedSequence hashing in uint32 array arithmetic, a few array
+    operations per step for all replicates: the entropy is the seed's 32-bit
     words, least significant first, then r (each index below 2**32); a pool
     of 4 words is filled by ``hashmix``, mixed pairwise by ``mix``, and
-    drawn out as 8 words, read as 4 little-endian uint64 words.
+    drawn out as 8 words, read as 4 little-endian uint64 words.  Calls of
+    ``hashmix`` whose inputs do not depend on each other go as the rows of
+    one array, each row with its own hash constant.
     """
     shift = np.uint32(16)
 
-    def hasher(const: int, mult: int):
-        """numpy's hashmix, with its hash constant advanced on each call."""
-        def hashmix(value):
-            nonlocal const
-            value = value ^ np.uint32(const)
-            const = const * mult & 0xFFFFFFFF
-            value = value * np.uint32(const)
-            return value ^ (value >> shift)
-        return hashmix
+    def constants(const: int, mult: int, calls: int) -> np.ndarray:
+        """The hash constant before each of ``calls`` calls and after the
+        last, as a column: numpy advances it by ``mult`` on each call."""
+        out = [const]
+        for _ in range(calls):
+            out.append(out[-1] * mult & 0xFFFFFFFF)
+        return np.array(out, dtype=np.uint32)[:, None]
+
+    def hashmix(values, consts, k: int):
+        """numpy's hashmix as calls k, k + 1, ... on the rows of ``values``."""
+        values = values ^ consts[k:k + len(values)]
+        values = values * consts[k + 1:k + 1 + len(values)]
+        return values ^ (values >> shift)
 
     def mix(x, y):
         out = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
@@ -157,26 +175,26 @@ def _seed_words(seed: int, replicates: np.ndarray) -> np.ndarray:
 
     r = np.asarray(replicates, dtype=np.uint32)
     seed = int(seed)
-    entropy = [np.full_like(r, seed & 0xFFFFFFFF)]
+    words = [seed & 0xFFFFFFFF]
     while seed := seed >> 32:
-        entropy.append(np.full_like(r, seed & 0xFFFFFFFF))
-    entropy.append(r)
-    hashmix = hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(r))
-            for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    draw = hasher(0x8B51F9DD, 0x58F38DED)
-    state = np.stack([draw(pool[k % 4]) for k in range(8)], axis=1).astype("<u4")
+        words.append(seed & 0xFFFFFFFF)
+    entropy = np.zeros((4, r.size), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = r
+    mixing = constants(0x43B0D7E5, 0x931E8875, 16)
+    pool = hashmix(entropy, mixing, 0)
+    for src in range(4):  # the three calls on pool[src], one per other word
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[[src] * 3], mixing, 4 + 3 * src))
+    state = hashmix(np.tile(pool, (2, 1)), constants(0x8B51F9DD, 0x58F38DED, 8), 0)
+    state = np.ascontiguousarray(state.T, dtype="<u4")
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
-def _replicate_rngs(seed: int, start: int, stop: int):
-    """Yield default_rng([seed, r]) for r in range(start, stop), each a
-    Generator over a PCG64 seeded with its row of ``_seed_words``."""
-    from numpy.random import PCG64, Generator
+def _bit_generators(seed: int, start: int, stop: int):
+    """Yield, for r in range(start, stop), the PCG64 that default_rng([seed, r])
+    wraps, seeded with its row of ``_seed_words``."""
+    from numpy.random import PCG64
     from numpy.random.bit_generator import ISeedSequence
 
     class Words(ISeedSequence):
@@ -191,7 +209,13 @@ def _replicate_rngs(seed: int, start: int, stop: int):
             return self.words
 
     for words in _seed_words(seed, np.arange(start, stop)):
-        yield Generator(PCG64(Words(words)))
+        yield PCG64(Words(words))
+
+
+def _replicate_rngs(seed: int, start: int, stop: int):
+    """Yield default_rng([seed, r]) for r in range(start, stop)."""
+    from numpy.random import Generator
+    return map(Generator, _bit_generators(seed, start, stop))
 
 
 def _count_blocks(plan: BootstrapPlan, sizes):
@@ -202,15 +226,66 @@ def _count_blocks(plan: BootstrapPlan, sizes):
     rows in OpenBLAS) and a one-row product (gemv) differently again, so
     blocks start at multiples of _ROW_ALIGN and a lone last replicate joins
     the block before it: block products equal one full product bit for bit.
+
+    Within a block, replicates go in chunks of about _RAW_CHUNK_DRAWS draws,
+    whose counts ``_raw_counts`` derives from raw PCG64 words; a replicate
+    where numpy would redraw a word is redone on ``plan.rng(r)``.  When a
+    chunk would hold one replicate (more than 2**14 draws a replicate),
+    numpy's own loop is as fast, so each replicate draws from its Generator.
     """
     step = _ROW_ALIGN * max(1, _COUNT_BLOCK_ELEMENTS // (_ROW_ALIGN * sum(sizes)))
     edges = [*range(0, plan.replicates - 1, step), plan.replicates]
+    chunk = _RAW_CHUNK_DRAWS // max(1, sum(n for n in sizes if n > 1))
     for start, stop in zip(edges, edges[1:]):
         counts = [np.empty((stop - start, n)) for n in sizes]
-        for i, rng in enumerate(_replicate_rngs(plan.seed, start, stop)):
-            for c, n in zip(counts, sizes):
-                c[i] = np.bincount(rng.integers(0, n, n), minlength=n)
+        if chunk < 2:
+            for i, rng in enumerate(_replicate_rngs(plan.seed, start, stop)):
+                _draw_counts(rng, [c[i] for c in counts])
+        else:
+            bit_gens = _bit_generators(plan.seed, start, stop)
+            for lo in range(0, stop - start, chunk):
+                part = [c[lo:lo + chunk] for c in counts]
+                for i in _raw_counts(itertools.islice(bit_gens, chunk), part):
+                    _draw_counts(plan.rng(start + lo + i), [c[i] for c in part])
         yield slice(start, stop), counts
+
+
+def _draw_counts(rng, rows):
+    """Fill one replicate's count row of each group, group after group, from
+    ``rng.integers``."""
+    for row in rows:
+        row[:] = np.bincount(rng.integers(0, row.size, row.size), minlength=row.size)
+
+
+def _raw_counts(bit_gens, counts) -> np.ndarray:
+    """Fill ``counts``, one (rows, n_k) array per group, with the counts that
+    ``integers(0, n_k, n_k)``, group after group, gives on each bit generator,
+    derived from raw words; return the rows where that derivation fails.
+
+    numpy draws an index below n from the next 32-bit word u of the bit
+    generator, PCG64's 64-bit words read low half first, as (u n) >> 32; but
+    it redraws u while (u n) mod 2**32 < (2**32 - n) mod n (Lemire 2019), and
+    that shifts the rest of the row, so the rows returned hold wrong counts.
+    A group of one draws no word (numpy returns 0 for an empty range).
+    """
+    sizes = [c.shape[1] for c in counts]
+    rows, words = len(counts[0]), -(-sum(n for n in sizes if n > 1) // 2)
+    raw = np.concatenate([bg.random_raw(words) for bg in bit_gens])
+    draws = raw.astype("<u8", copy=False).view("<u4").reshape(rows, 2 * words)
+    redo = np.zeros(rows, dtype=bool)
+    col = 0
+    for c, n in zip(counts, sizes):
+        if n == 1:
+            c[:] = 1
+            continue
+        u = draws[:, col:col + n]
+        redo |= (u * np.uint32(n) < (2**32 - n) % n).any(axis=1)  # (u n) mod 2**32
+        idx = u * np.int64(n)  # below 2**46: n <= 2**14 here
+        idx >>= 32
+        idx += np.arange(0, rows * n, n)[:, None]
+        c[:] = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n)
+        col += n
+    return np.flatnonzero(redo)
 
 
 def _replicate_products(plan: BootstrapPlan, contributions) -> list:

@@ -309,6 +309,29 @@ def test_ci_and_band_subcommands(tmp_path, normal_csv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fixture,argv,flag", [
+    ("normal_csv", ["ci", "--method", "plugin", "--boot", "5", "--seed", "1"], "--boot"),
+    ("normal_csv", ["ci", "--seed", "1"], "--seed"),
+    ("normal_csv", ["band", "--method", "evt", "--boot", "5"], "--boot"),
+    ("normal_csv", ["band", "--method", "evt", "--seed", "1"], "--seed"),
+    ("grouped_csv", ["roc", "--group-col", "status", "--boot", "400"], "--boot"),
+])
+def test_bootstrap_flags_a_path_would_not_read_are_config_errors(
+        tmp_path, request, capsys, fixture, argv, flag):
+    out = tmp_path / "artifact"
+    argv = [*argv, "--input", request.getfixturevalue(fixture), "--grid", "16",
+            "--output", str(out)]
+    assert cli.main(argv) == 2
+    assert f"{flag} is read only by a bootstrap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_boot_defaults_to_1000_replicates():
+    for argv in (["band", "--input", "x.csv", "--seed", "1"],
+                 ["simulate", "--seed", "1"]):
+        assert cli._plan(cli.build_parser().parse_args(argv)).replicates == 1000
+
+
 def test_modes_subcommand(tmp_path, bimodal_csv, capsys):
     out = tmp_path / "modes.csv"
     assert cli.main(["modes", "--input", bimodal_csv,

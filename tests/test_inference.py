@@ -94,15 +94,68 @@ def test_plan_rng_draws_the_default_rng_stream(seed):
         np.testing.assert_array_equal(got.random(5), ref.random(5))
 
 
-@pytest.mark.parametrize("sizes", [[1], [3, 7], [500], [1000, 1000], [1, 5], [20_000]])
+# 16 384 draws is the last size with two replicates to a raw-word chunk;
+# 999 draws leave the second group starting on the high half of a word
+@pytest.mark.parametrize("sizes", [[1], [3, 7], [500], [1000, 1000], [1, 5], [20_000],
+                                   [16_384], [16_385], [999, 1001], [1, 1]])
 @pytest.mark.parametrize("replicates", [2, 17, 137])
 def test_count_blocks_draw_the_default_rng_stream(sizes, replicates):
     for seed in SEEDS:
         plan = BootstrapPlan(replicates, seed)
-        got = [np.concatenate(c) for c in
-               zip(*(counts for _, counts in inference._count_blocks(plan, sizes)))]
-        for ref, counts in zip(one_shot_counts(plan, sizes), got):
+        for ref, counts in zip(one_shot_counts(plan, sizes), stacked_counts(plan, sizes)):
             np.testing.assert_array_equal(counts, ref)
+
+
+def stacked_counts(plan, sizes):
+    """Each group's counts from ``_count_blocks``, its blocks stacked."""
+    return [np.concatenate(c) for c in
+            zip(*(counts for _, counts in inference._count_blocks(plan, sizes)))]
+
+
+def redraws_a_word(seed, r, n):
+    """Whether integers(0, n, n) on default_rng([seed, r]) redraws a 32-bit
+    word: then its indices are not (u n) >> 32 of the first n words u."""
+    raw = np.random.default_rng([seed, r]).bit_generator.random_raw(-(-n // 2))
+    u = raw.astype("<u8").view("<u4")[:n].astype(np.uint64)
+    return not np.array_equal((u * np.uint64(n)) >> np.uint64(32),
+                              np.random.default_rng([seed, r]).integers(0, n, n))
+
+
+def test_count_blocks_redo_replicates_where_numpy_redraws():
+    plan, n = BootstrapPlan(137, 0), 12_345
+    # replicates 51, 101, 111 and 132 redraw a word at this size and seed
+    assert any(redraws_a_word(plan.seed, r, n) for r in range(plan.replicates))
+    (ref,), (got,) = one_shot_counts(plan, [n]), stacked_counts(plan, [n])
+    np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("sizes", [[30], [13, 17], [1, 30]])
+@pytest.mark.parametrize("replicates", [40, 41, 47])
+def test_count_blocks_chunks_need_not_divide_the_replicates(monkeypatch, sizes,
+                                                            replicates):
+    # 7-replicate chunks inside 16-replicate blocks: every block ends on a
+    # partial chunk, and so does the plan
+    monkeypatch.setattr(inference, "_RAW_CHUNK_DRAWS", 7 * 30)
+    monkeypatch.setattr(inference, "_COUNT_BLOCK_ELEMENTS", 16 * 31)
+    plan = BootstrapPlan(replicates, 9)
+    for ref, counts in zip(one_shot_counts(plan, sizes), stacked_counts(plan, sizes)):
+        np.testing.assert_array_equal(counts, ref)
+
+
+def test_count_blocks_hold_one_chunk_of_raw_words():
+    plan, n = BootstrapPlan(2000, 7), 500
+    block = plan.replicates * n * 8  # one block of float64 counts: 8 MB
+    tracemalloc.start()
+    try:
+        for _, counts in inference._count_blocks(plan, [n]):
+            assert counts[0].nbytes == block
+            del counts
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a chunk's scratch and the block's seed words take under 1 MB; the
+    # (B, n) draws as uint32 alone would take 4 MB more
+    assert peak < block + 2 * 2**20
 
 
 def test_plan_rejects_seeds_outside_64_bits():
