@@ -52,19 +52,30 @@ class SmoothedCDF:
 
 def _cdf_terms(model: DensityModel, xs: np.ndarray) -> np.ndarray:
     """(n, m) matrix of the integrated kernel at (xs_j - X_i) / h, filled one
-    query block at a time; its mean over the sample is the smoothed CDF."""
+    block of sample rows at a time; its mean over the sample is the smoothed
+    CDF."""
+    q = xs[:, None]
     out = np.empty((model.n, xs.size))
-    for rows, (u,), _ in estimator._blocks(model, xs[:, None]):
-        out[:, rows] = integrated(model.kernel, u)
+
+    def fill(rows):
+        (u,) = estimator._offsets(model, q, rows, out=out[rows])
+        out[rows] = integrated(model.kernel, u)
+
+    estimator._each_block(model.n, xs.size, fill)
     return out
 
 
 def _cdf_values(model: DensityModel, xs: np.ndarray) -> np.ndarray:
     """The smoothed CDF at xs, ``_cdf_terms(model, xs).mean(axis=0)`` bit for
-    bit (see ``estimator._blocks``) without building the (n, m) matrix."""
+    bit (see ``estimator._each_block``) without building the (n, m) matrix."""
+    q = xs[:, None]
     out = np.empty(xs.size)
-    for rows, (u,), _ in estimator._blocks(model, xs[:, None]):
+
+    def fill(rows):
+        (u,) = estimator._offsets(model, q[rows])
         out[rows] = integrated(model.kernel, u).mean(axis=0)
+
+    estimator._each_block(xs.size, model.n, fill)
     return out
 
 

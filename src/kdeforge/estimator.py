@@ -7,7 +7,10 @@ derivatives, scaled by 1 / (n h^(d + |beta|)).
 Evaluation at arbitrary queries goes through one engine, ``_kernel_sums``:
 it walks the queries in blocks whose (n, block) temporaries hold about
 _BLOCK_ELEMENTS values, so memory stays bounded whatever the number of
-queries, and it keeps the exact difference form (x - X_i) / h.
+queries, and it keeps the exact difference form (x - X_i) / h.  The (n, m)
+kernel matrices walk the sample rows instead, in place in their output.
+Both run their blocks on the CPUs this process may use (``blocks``), with
+the same bits whatever their number.
 
 Gaussian tensor grids take a second path, ``_factor_sums``.  The
 Gaussian kernel is a product of 1-d kernels, so on a grid with axes a_l the
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blocks
 from .kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError, evaluate_sq
 
 # Gaussian mass beyond 6 standard deviations is < 1e-8 of the kernel peak.
@@ -32,7 +36,8 @@ from .kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError, evalu
 TRUNCATION_RADIUS = 6.0
 
 # Each (n, block) temporary of the kernel-sum engine holds about this many
-# float64 values (2 MB), whatever the number of queries.
+# float64 values (2 MB), whatever the number of queries; with several workers,
+# the temporaries of all the blocks in flight do.
 _BLOCK_ELEMENTS = 2**18
 
 # The grid path sets per-axis factors below exp(-_FLUSH_EXPONENT / d) to 0, so
@@ -132,34 +137,40 @@ def _query_matrix(model: DensityModel, x) -> np.ndarray:
     return x
 
 
-def _blocks(model: DensityModel, x: np.ndarray):
-    """Walk the (m, d) queries ``x`` in blocks of about _BLOCK_ELEMENTS / n.
+def _each_block(total: int, unit: int, fn) -> None:
+    """Run fn(rows) on every slice of an (n, m) job whose slices walk
+    ``total`` items (queries or sample rows) of ``unit`` values each: about
+    _BLOCK_ELEMENTS values a slice on one CPU, that budget shared among the
+    workers on several (see ``blocks``).
 
-    Yields (rows, u, sq) per block: the query slice, the scaled offsets
-    u_l = (q_l - X_il) / h as one (n, b) array per coordinate, and their
-    squared norm, accumulated one coordinate at a time.  numpy sums an (n, 1)
-    array over n pairwise but a wider one row by row, so a lone last query
-    joins the block before it; sums over n then equal those of a single
-    (n, m) array bit for bit.
+    numpy sums an (n, 1) array over n pairwise but a wider one row by row, so
+    a slice holds at least two items (a lone last query joins the slice
+    before it): sums over n of query slices then equal those of a single
+    (n, m) array bit for bit, whatever the number of workers.
     """
-    data = model.sample.data
-    h = model.bandwidth
-    m, d = x.shape
-    step = max(2, _BLOCK_ELEMENTS // data.shape[0])
-    start = 0
-    while start < m:
-        stop = m if start + step >= m - 1 else start + step
-        q = x[start:stop]
-        u = []
-        for l in range(d):
-            ul = q[:, l] - data[:, l:l + 1]
-            ul /= h
-            u.append(ul)
-        sq = np.square(u[0])
-        for ul in u[1:]:
-            sq += np.square(ul)
-        yield slice(start, stop), u, sq
-        start = stop
+    blocks.run(fn, *blocks.split(total, unit, _BLOCK_ELEMENTS, 2))
+
+
+def _offsets(model: DensityModel, q: np.ndarray, rows=slice(None), out=None) -> list:
+    """The scaled offsets u_l = (q_l - X_il) / h of the (b, d) queries ``q``
+    from the sample rows ``rows``, one (rows, b) array per coordinate; u_0 is
+    formed in ``out`` when it is given."""
+    data = model.sample.data[rows]
+    u = []
+    for l in range(q.shape[1]):
+        ul = np.subtract(q[:, l], data[:, l:l + 1], out=out if l == 0 else None)
+        ul /= model.bandwidth
+        u.append(ul)
+    return u
+
+
+def _squared_norm(u: list, out=None) -> np.ndarray:
+    """sum_l u_l^2 of the offsets ``u``, accumulated one coordinate at a time,
+    in ``out`` when it is given (which may be u[0] itself)."""
+    sq = np.square(u[0], out=out)
+    for ul in u[1:]:
+        sq += np.square(ul)
+    return sq
 
 
 def _kernel_sums(model: DensityModel, x: np.ndarray, order: int):
@@ -173,7 +184,10 @@ def _kernel_sums(model: DensityModel, x: np.ndarray, order: int):
     """
     m, d = x.shape
     sums = [np.empty((m,) + (d,) * k) for k in range(order + 1)]
-    for rows, u, sq in _blocks(model, x):
+
+    def fill(rows):
+        u = _offsets(model, x[rows])
+        sq = _squared_norm(u)
         k = evaluate_sq(model.kernel, sq, out=sq)  # sq is not needed again
         sums[0][rows] = k.sum(axis=0)
         for l in range(d if order >= 1 else 0):
@@ -183,6 +197,8 @@ def _kernel_sums(model: DensityModel, x: np.ndarray, order: int):
                 for j in range(l + 1):
                     sums[2][rows, l, j] = sums[2][rows, j, l] = np.einsum(
                         "ij,ij->j", ku, u[j])
+
+    _each_block(m, model.n, fill)
     return tuple(sums)
 
 
@@ -206,8 +222,13 @@ def kernel_value_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:
     """
     x = _query_matrix(model, queries)
     out = np.empty((model.n, x.shape[0]))
-    for rows, _, sq in _blocks(model, x):
-        evaluate_sq(model.kernel, sq, out=out[:, rows])
+
+    def fill(rows):
+        block = out[rows]  # u_0, then the squared norm, then K, in place
+        sq = _squared_norm(_offsets(model, x, rows, out=block), out=block)
+        evaluate_sq(model.kernel, sq, out=block)
+
+    _each_block(model.n, x.shape[0], fill)
     return out
 
 
@@ -216,10 +237,14 @@ def kernel_laplacian_matrix(model: DensityModel, queries: np.ndarray) -> np.ndar
     _require_gaussian(model, "laplacian")
     x = _query_matrix(model, queries)
     out = np.empty((model.n, x.shape[0]))
-    for rows, _, sq in _blocks(model, x):
-        block = evaluate_sq(model.kernel, sq, out=out[:, rows])
+
+    def fill(rows):
+        sq = _squared_norm(_offsets(model, x, rows))
+        block = evaluate_sq(model.kernel, sq, out=out[rows])
         sq -= model.dim
         block *= sq
+
+    _each_block(model.n, x.shape[0], fill)
     return out
 
 

@@ -23,13 +23,15 @@ Simultaneous constructions:
                                   rate.
 
 Every bootstrap here and in ``distfunc.roc_band`` reduces replicate counts @
-per-observation contributions; ``_replicate_products`` multiplies the counts
-in fixed-size blocks of replicates as it draws them, so memory stays bounded.
-The counts are those of ``default_rng([seed, r]).integers(0, n, n)``, but a
-replicate of at most 2**14 draws takes them from its raw PCG64 words, a
-chunk of replicates at a time (``_raw_counts``): numpy's bounded-integer rule
-applied to whole arrays, with the rare replicate where numpy redraws a word
-redone on its Generator.
+per-observation contributions.  ``_replicate_products`` draws the counts one
+block of replicates at a time and multiplies each block into its rows of the
+output, each block a task of the block executor (``blocks``): the blocks in
+flight share one memory budget, so memory stays bounded, and the products
+are the same bits on any number of CPUs.  The counts are those of
+``default_rng([seed, r]).integers(0, n, n)``, but a replicate of at most
+2**14 draws takes them from its raw PCG64 words, a chunk of replicates at a
+time (``_raw_counts``): numpy's bounded-integer rule applied to whole arrays,
+with the rare replicate where numpy redraws a word redone on its Generator.
 
 All sup norms are taken over the evaluation grid, not the continuum; use at
 least ~256 grid points per dimension.  Empirical quantiles are pinned to the
@@ -44,11 +46,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimator, kernels
+from . import blocks, estimator, kernels
 from .estimator import DensityModel, Sample
 
-# A block of replicate counts holds about this many float64 values (16 MB),
-# in whole multiples of _ROW_ALIGN replicates (96 at n = 20 000).
+# The blocks of replicate counts in flight hold about this many float64 values
+# (16 MB), each block a whole multiple of _ROW_ALIGN replicates (96 at
+# n = 20 000 on one CPU, 48 a block on two).
 _COUNT_BLOCK_ELEMENTS = 2**21
 _ROW_ALIGN = 16
 # A chunk of replicates whose counts come from raw generator words holds about
@@ -59,14 +62,15 @@ _RAW_CHUNK_DRAWS = 2**15
 @dataclass(frozen=True)
 class BootstrapPlan:
     """Replicate count and seed.  Replicate r draws each group's n indices
-    with replacement, group after group, from default_rng([seed, r]), so
-    results depend neither on replicate order nor on blocking.  The stream is
+    with replacement, group after group, from default_rng([seed, r]) (see
+    ``rng``), so results depend neither on replicate order, nor on blocking,
+    nor on the number of threads that draw the blocks.  The stream is
     default_rng's, but its generators are seeded a block of replicates at a
     time, from SeedSequence words computed for the whole block at once
     (``_bit_generators``), and a replicate of at most 2**14 draws has its
     indices derived from its raw PCG64 words as numpy's ``integers`` derives
     them, redone on ``rng(r)`` where numpy would redraw a word
-    (``_count_blocks``)."""
+    (``_block_counts``)."""
 
     replicates: int
     seed: int
@@ -80,9 +84,10 @@ class BootstrapPlan:
         check_seed(self.seed)
 
     def rng(self, r: int) -> np.random.Generator:
+        """Replicate r's generator, default_rng([seed, r])."""
         if not 0 <= r < self.replicates:
             raise ValueError(f"replicate index {r} out of range")
-        return next(_replicate_rngs(self.seed, r, r + 1))
+        return np.random.default_rng([self.seed, r])
 
 
 def check_seed(seed) -> None:
@@ -218,36 +223,50 @@ def _replicate_rngs(seed: int, start: int, stop: int):
     return map(Generator, _bit_generators(seed, start, stop))
 
 
+def _count_slices(plan: BootstrapPlan, sizes):
+    """(slices, workers) of the replicates: blocks of counts that hold about
+    _COUNT_BLOCK_ELEMENTS values, shared among the workers (see ``blocks``)."""
+    return blocks.split(plan.replicates, sum(sizes), _COUNT_BLOCK_ELEMENTS,
+                        _ROW_ALIGN, _ROW_ALIGN)
+
+
 def _count_blocks(plan: BootstrapPlan, sizes):
-    """Yield (rows, counts): a slice of replicates and, per group of size
-    n_k, its float64 counts of how often replicate r draws each observation.
+    """Yield (rows, counts) for each block of replicates in turn: a slice of
+    replicates and, per group of size n_k, its float64 counts of how often
+    replicate r draws each observation (``_block_counts``).
 
     gemm rounds a row by its offset in the BLAS row micro-kernel (4 or 16
     rows in OpenBLAS) and a one-row product (gemv) differently again, so
     blocks start at multiples of _ROW_ALIGN and a lone last replicate joins
-    the block before it: block products equal one full product bit for bit.
-
-    Within a block, replicates go in chunks of about _RAW_CHUNK_DRAWS draws,
-    whose counts ``_raw_counts`` derives from raw PCG64 words; a replicate
-    where numpy would redraw a word is redone on ``plan.rng(r)``.  When a
-    chunk would hold one replicate (more than 2**14 draws a replicate),
-    numpy's own loop is as fast, so each replicate draws from its Generator.
+    the block before it: block products equal one full product bit for bit,
+    whatever the number of workers that ``_replicate_products`` runs them on.
     """
-    step = _ROW_ALIGN * max(1, _COUNT_BLOCK_ELEMENTS // (_ROW_ALIGN * sum(sizes)))
-    edges = [*range(0, plan.replicates - 1, step), plan.replicates]
+    for rows in _count_slices(plan, sizes)[0]:
+        yield rows, _block_counts(plan, sizes, rows.start, rows.stop)
+
+
+def _block_counts(plan: BootstrapPlan, sizes, start: int, stop: int) -> list:
+    """Each group's (stop - start, n_k) float64 counts of replicates start to
+    stop.
+
+    Replicates go in chunks of about _RAW_CHUNK_DRAWS draws, whose counts
+    ``_raw_counts`` derives from raw PCG64 words; a replicate where numpy
+    would redraw a word is redone on ``plan.rng(r)``.  When a chunk would hold
+    one replicate (more than 2**14 draws a replicate), numpy's own loop is as
+    fast, so each replicate draws from its Generator.
+    """
     chunk = _RAW_CHUNK_DRAWS // max(1, sum(n for n in sizes if n > 1))
-    for start, stop in zip(edges, edges[1:]):
-        counts = [np.empty((stop - start, n)) for n in sizes]
-        if chunk < 2:
-            for i, rng in enumerate(_replicate_rngs(plan.seed, start, stop)):
-                _draw_counts(rng, [c[i] for c in counts])
-        else:
-            bit_gens = _bit_generators(plan.seed, start, stop)
-            for lo in range(0, stop - start, chunk):
-                part = [c[lo:lo + chunk] for c in counts]
-                for i in _raw_counts(itertools.islice(bit_gens, chunk), part):
-                    _draw_counts(plan.rng(start + lo + i), [c[i] for c in part])
-        yield slice(start, stop), counts
+    counts = [np.empty((stop - start, n)) for n in sizes]
+    if chunk < 2:
+        for i, rng in enumerate(_replicate_rngs(plan.seed, start, stop)):
+            _draw_counts(rng, [c[i] for c in counts])
+    else:
+        bit_gens = _bit_generators(plan.seed, start, stop)
+        for lo in range(0, stop - start, chunk):
+            part = [c[lo:lo + chunk] for c in counts]
+            for i in _raw_counts(itertools.islice(bit_gens, chunk), part):
+                _draw_counts(plan.rng(start + lo + i), [c[i] for c in part])
+    return counts
 
 
 def _draw_counts(rng, rows):
@@ -290,11 +309,17 @@ def _raw_counts(bit_gens, counts) -> np.ndarray:
 
 def _replicate_products(plan: BootstrapPlan, contributions) -> list:
     """(B, m_k) replicate counts @ contributions for each group's (n_k, m_k)
-    per-observation contributions, filled one block of replicates at a time."""
+    per-observation contributions: each block of replicates is drawn and
+    multiplied into its rows of the output by one task of the executor."""
+    sizes = [c.shape[0] for c in contributions]
     outs = [np.empty((plan.replicates, c.shape[1])) for c in contributions]
-    for rows, counts in _count_blocks(plan, [c.shape[0] for c in contributions]):
+
+    def multiply(rows):
+        counts = _block_counts(plan, sizes, rows.start, rows.stop)
         for out, cnt, contrib in zip(outs, counts, contributions):
             np.matmul(cnt, contrib, out=out[rows])
+
+    blocks.run(multiply, *_count_slices(plan, sizes))
     return outs
 
 
@@ -465,17 +490,21 @@ class DebiasedDensity:
     def correction_matrix(self, grid: np.ndarray) -> np.ndarray:
         """(n, m) per-observation contributions to p_tilde on the grid,
         K(u) (1 - sigma_k2 (||u||^2 - d) / 2) / (n h^d) at u = (x_q - X_i) / h,
-        filled in place from one kernel pass over the query blocks."""
+        filled in place from one kernel pass over blocks of sample rows."""
         m = self.model
         x = estimator._query_matrix(m, grid)
         out = np.empty((m.n, x.shape[0]))
-        for rows, _, sq in estimator._blocks(m, x):
-            block = kernels.evaluate_sq(m.kernel, sq, out=out[:, rows])
+
+        def fill(rows):
+            sq = estimator._squared_norm(estimator._offsets(m, x, rows))
+            block = kernels.evaluate_sq(m.kernel, sq, out=out[rows])
             sq -= m.dim
             sq *= -0.5 * self.sigma_k2
             sq += 1.0
             block *= sq
             block /= m.n * m.bandwidth**m.dim
+
+        estimator._each_block(m.n, x.shape[0], fill)
         return out
 
     def evaluate(self, queries) -> np.ndarray:

@@ -1,13 +1,20 @@
 """Shared test oracles: finite differences, quadrature, and flood fill.
 
 These helpers are deliberately independent of the library's computation
-paths so they can serve as oracles for it.
+paths so they can serve as oracles for it.  Two more run a block job on
+several worker counts (``kdeforge.blocks``) and check what the executor
+promises: no thread outlives a call, and an error reaches the caller.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
+
 import numpy as np
 import pytest
+
+from kdeforge import blocks
 
 
 def fd_gradient(f, x, step=1e-5):
@@ -55,6 +62,38 @@ def flood_fill_components(mask: np.ndarray) -> int:
                         visited[nb] = True
                         stack.append(nb)
     return count
+
+
+def on_each_worker_count(monkeypatch, job, counts=(1, 2, 3)):
+    """job()'s results, with the block executor seeing each CPU count in
+    turn; no worker thread may outlive a call."""
+    results = []
+    for count in counts:
+        monkeypatch.setattr(blocks, "cpus", lambda count=count: count)
+        threads = threading.active_count()
+        results.append(job())
+        assert threading.active_count() == threads
+    return results
+
+
+def assert_block_error_reaches_caller(monkeypatch, owner, name, job):
+    """An exception that ``owner.name`` raises on its second call, inside a
+    block job on 3 workers, reaches the caller of ``job`` as raised (so the
+    CLI still maps it to its exit code), and no worker thread outlives it."""
+    real, calls, error = getattr(owner, name), itertools.count(), ValueError("block")
+
+    def failing(*args, **kwargs):
+        if next(calls) == 1:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+    monkeypatch.setattr(blocks, "cpus", lambda: 3)
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as raised:
+        job()
+    assert raised.value is error
+    assert threading.active_count() == threads
 
 
 @pytest.fixture

@@ -19,6 +19,8 @@ from kdeforge.estimator import DensityModel, Sample
 from kdeforge.inference import BootstrapPlan
 from kdeforge.kernels import KernelFamily, KernelSpec
 
+from conftest import assert_block_error_reaches_caller, on_each_worker_count
+
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1)
 SPHERE1 = KernelSpec(KernelFamily.SPHERICAL, 1)
 
@@ -170,6 +172,33 @@ def test_cdf_terms_match_one_shot_reference(monkeypatch, rng, kernel, n, m):
         np.testing.assert_array_equal(distfunc._cdf_terms(model, xs), ref)
         # the blocked mean sums each column as the one-shot matrix does
         np.testing.assert_array_equal(distfunc._cdf_values(model, xs), ref.mean(axis=0))
+
+
+@pytest.mark.parametrize("kernel", [GAUSS1, SPHERE1])
+def test_cdf_jobs_give_the_same_bits_on_any_number_of_workers(monkeypatch, rng,
+                                                              kernel):
+    # 6 n values a budget: on 3 workers, 2-query slices of the 33 queries and
+    # 2-row slices of the 41 sample rows, each ending in a lone item that
+    # joins the slice before it
+    model = DensityModel(Sample(rng.normal(size=41)), kernel, 0.8)
+    xs = rng.normal(scale=1.5, size=33)
+    monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 6 * 41)
+    first, *rest = on_each_worker_count(
+        monkeypatch, lambda: (distfunc._cdf_terms(model, xs),
+                              distfunc._cdf_values(model, xs)))
+    for other in rest:
+        for got, ref in zip(other, first):
+            np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(first[1], first[0].mean(axis=0))
+
+
+@pytest.mark.parametrize("job", ["_cdf_terms", "_cdf_values"])
+def test_cdf_block_errors_reach_the_caller(monkeypatch, rng, job):
+    model = DensityModel(Sample(rng.normal(size=41)), GAUSS1, 0.8)
+    xs = rng.normal(size=33)
+    monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 6 * 41)
+    assert_block_error_reaches_caller(monkeypatch, distfunc, "integrated",
+                                      lambda: getattr(distfunc, job)(model, xs))
 
 
 @pytest.mark.parametrize("kernel", [GAUSS1, SPHERE1])

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from kdeforge import estimator, kernels
+from kdeforge import blocks, estimator, kernels
 from kdeforge.estimator import DensityModel, Sample
 from kdeforge.kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError
 
-from conftest import fd_gradient
+from conftest import assert_block_error_reaches_caller, fd_gradient, on_each_worker_count
 
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1)
 GAUSS2 = KernelSpec(KernelFamily.GAUSSIAN, 2)
@@ -232,6 +232,71 @@ def test_blocked_sums_match_dense_reference(monkeypatch, rng, family, d, n, m):
         hess_ref = (s2_ref[0] - np.eye(d) * s0_ref[0]) / (n * 0.8 ** (d + 2))
         np.testing.assert_allclose(estimator.hessian_at(model, x[0]), hess_ref,
                                    rtol=1e-12, atol=1e-12 * np.abs(hess_ref).max())
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("total,unit,budget,floor,align", [
+    (33, 41, 6 * 41, 2, 1), (41, 33, 6 * 33, 2, 1), (1, 7, 64, 2, 1), (2, 500, 64, 2, 1),
+    (137, 30, 16 * 6 * 30, 16, 16), (129, 30, 16 * 6 * 30, 16, 16),
+    (1000, 20_000, 2**21, 16, 16), (256, 20_000, 2**18, 2, 1), (41, 0, 64, 2, 1)])
+def test_split_shares_the_budget_among_workers(monkeypatch, cpus, total, unit,
+                                               budget, floor, align):
+    monkeypatch.setattr(blocks, "cpus", lambda: cpus)
+    slices, workers = blocks.split(total, unit, budget, floor, align)
+    assert slices[0].start == 0 and slices[-1].stop == total
+    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+    assert all(s.start % align == 0 for s in slices)
+    assert all(s.stop - s.start >= min(2, total) for s in slices)
+    if len(slices) == 1:  # a job of one slice runs inline
+        assert workers == 1
+        return
+    size = slices[0].stop - slices[0].start
+    assert all(s.stop - s.start == size for s in slices[:-1])
+    assert 1 <= workers <= min(cpus, len(slices))
+    # the slices in flight hold what one slice of the whole budget would, and
+    # none holds fewer than ``floor`` items
+    assert workers * size * unit <= max(floor * unit, budget)
+    assert size >= floor
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_jobs_give_the_same_bits_on_any_number_of_workers(monkeypatch, rng, d):
+    # 6 n values a budget: on 3 workers, 2-query slices of the 33 queries and
+    # 2-row slices of the 41 sample rows, each ending in a lone item that
+    # joins the slice before it
+    model = DensityModel(Sample(rng.normal(size=(41, d))),
+                         KernelSpec(KernelFamily.GAUSSIAN, d), 0.7)
+    x = rng.normal(scale=1.5, size=(33, d))
+    monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 6 * 41)
+
+    def jobs():
+        return (*estimator._kernel_sums(model, x, 2),
+                estimator.kernel_value_matrix(model, x),
+                estimator.kernel_laplacian_matrix(model, x))
+
+    first, *rest = on_each_worker_count(monkeypatch, jobs)
+    for other in rest:
+        for got, ref in zip(other, first):
+            np.testing.assert_array_equal(got, ref)
+    monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 2**18)  # one block
+    for got, ref in zip(jobs(), first):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_matrices_of_no_queries_are_empty(rng):
+    model = DensityModel(Sample(rng.normal(size=(41, 2))), GAUSS2, 0.7)
+    for matrix in (estimator.kernel_value_matrix, estimator.kernel_laplacian_matrix):
+        assert matrix(model, np.empty((0, 2))).shape == (41, 0)
+
+
+@pytest.mark.parametrize("job", ["sums", "matrix"])
+def test_block_errors_reach_the_caller(monkeypatch, rng, job):
+    model = DensityModel(Sample(rng.normal(size=(41, 2))), GAUSS2, 0.7)
+    x = rng.normal(size=(33, 2))
+    monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 6 * 41)
+    run = {"sums": lambda: estimator._kernel_sums(model, x, 1),
+           "matrix": lambda: estimator.kernel_value_matrix(model, x)}[job]
+    assert_block_error_reaches_caller(monkeypatch, estimator, "evaluate_sq", run)
 
 
 def test_grid_evaluation_memory_is_bounded(rng):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from kdeforge import estimator, inference
+from kdeforge import blocks, estimator, inference
 from kdeforge.estimator import DensityModel, Sample
 from kdeforge.inference import (
     BootstrapPlan,
@@ -24,6 +24,8 @@ from kdeforge.inference import (
     resample_counts,
 )
 from kdeforge.kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError
+
+from conftest import assert_block_error_reaches_caller, on_each_worker_count
 
 GAUSS1 = KernelSpec(KernelFamily.GAUSSIAN, 1)
 
@@ -158,6 +160,38 @@ def test_count_blocks_hold_one_chunk_of_raw_words():
     assert peak < block + 2 * 2**20
 
 
+# Besides its block, each extra worker holds numpy's ufunc buffer (8192 values
+# of 2 operands, 128 KiB) and the executor's bookkeeping; one drawing counts
+# also holds its draw scratch: one replicate's int64 indices and bincount
+# above 2**14 draws, one chunk of raw words (under 1 MiB, see above) below.
+WORKER_OVERHEAD = 2 * 8192 * 8 + 32 * 2**10
+
+
+@pytest.mark.parametrize("n,scratch", [(20_000, 2 * 20_000 * 8), (3000, 2**20)])
+def test_workers_share_the_block_budget(monkeypatch, rng, n, scratch):
+    model = model_of(rng.normal(size=n), 0.2)
+    grid = np.linspace(-4, 4, 256)[:, None]
+    phi = estimator.kernel_value_matrix(model, grid)
+    plan = BootstrapPlan(1000, 7)
+    jobs = {"counts @ phi": lambda: inference._replicate_products(plan, [phi]),
+            "phi": lambda: estimator.kernel_value_matrix(model, grid)}
+    peak = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(blocks, "cpus", lambda: workers)
+        assert len(inference._count_slices(plan, [n])[0]) > 1
+        for name, job in jobs.items():
+            tracemalloc.start()
+            try:
+                job()
+                _, peak[name, workers] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+    # a worker drawing a whole block of its own would add 4 MB (n = 3000) to
+    # 7.7 MB (n = 20 000) of counts
+    assert peak["counts @ phi", 2] <= peak["counts @ phi", 1] + WORKER_OVERHEAD + scratch
+    assert peak["phi", 2] <= peak["phi", 1] + WORKER_OVERHEAD
+
+
 def test_plan_rejects_seeds_outside_64_bits():
     # -1 and 2^64 - 1 would otherwise draw the same replicate stream
     with pytest.raises(ValueError, match="seed"):
@@ -252,6 +286,43 @@ def test_replicate_products_match_one_shot_reference(monkeypatch, rng, replicate
         got_h, got_d = inference._replicate_products(plan, [phi, phi_d])
         np.testing.assert_array_equal(got_h, ref_h)
         np.testing.assert_array_equal(got_d, ref_d)
+
+
+# (sizes, seed, real-valued contributions).  [30, 17]: every block product is
+# below OpenBLAS's threading threshold (m n k <= 2**18), so even an unpinned
+# BLAS computes it on one thread, where the result depends on a block's row
+# offset alone.  [12 345, 17]: at seed 0, replicates 51, 101 and 111 redraw a
+# word; small-integer contributions make every product exact, so the bits
+# cannot depend on how a threaded BLAS splits a block.
+@pytest.mark.parametrize("sizes,seed,real", [([30, 17], 5, True),
+                                             ([12_345, 17], 0, False)])
+def test_replicate_products_give_the_same_bits_on_any_number_of_workers(
+        monkeypatch, rng, sizes, seed, real):
+    # Blocks of 96, 48 and 32 replicates on 1, 2 and 3 workers (100, 50 and 33
+    # but for the alignment); the 129th replicate joins the block before it
+    # on 3.  33 columns: gemm's column remainder, where row offsets change
+    # rounding.
+    plan = BootstrapPlan(129, seed)
+    if not real:
+        assert any(redraws_a_word(seed, r, sizes[0]) for r in range(plan.replicates))
+    contributions = [rng.normal(size=(n, 33)) if real else
+                     rng.integers(-3, 4, size=(n, 33)).astype(float) for n in sizes]
+    monkeypatch.setattr(inference, "_COUNT_BLOCK_ELEMENTS", 100 * sum(sizes))
+    first, *rest = on_each_worker_count(
+        monkeypatch, lambda: inference._replicate_products(plan, contributions))
+    for other in rest:
+        for got, ref in zip(other, first):
+            np.testing.assert_array_equal(got, ref)
+    for got, counts, contrib in zip(first, one_shot_counts(plan, sizes), contributions):
+        np.testing.assert_array_equal(got, counts @ contrib)
+
+
+def test_replicate_product_errors_reach_the_caller(monkeypatch, rng):
+    plan = BootstrapPlan(100, 3)
+    phi = rng.normal(size=(30, 4))
+    monkeypatch.setattr(inference, "_COUNT_BLOCK_ELEMENTS", 16 * 30)
+    assert_block_error_reaches_caller(monkeypatch, inference, "_block_counts",
+                                      lambda: inference._replicate_products(plan, [phi]))
 
 
 def test_plain_bootstrap_center_is_the_density(rng):
@@ -503,6 +574,18 @@ def test_correction_matrix_matches_two_matrix_form(monkeypatch, rng, d, n, m):
         got = deb.correction_matrix(x)
         assert got.shape == (n, m)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_correction_matrix_gives_the_same_bits_on_any_number_of_workers(
+        monkeypatch, rng):
+    model = DensityModel(Sample(rng.normal(size=(41, 2))),
+                         KernelSpec(KernelFamily.GAUSSIAN, 2), 0.6)
+    x = rng.normal(scale=1.5, size=(33, 2))
+    monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 6 * 33)  # 2-row slices on 3
+    first, *rest = on_each_worker_count(
+        monkeypatch, lambda: DebiasedDensity(model).correction_matrix(x))
+    for other in rest:
+        np.testing.assert_array_equal(other, first)
 
 
 def test_debiased_band_memory_is_bounded(rng):
