@@ -145,9 +145,12 @@ def _kernel(args, dim: int) -> KernelSpec:
 
 
 def _parse_lscv_grid(spec: str) -> np.ndarray:
+    """The grid of ``lo:hi:count``; ``BandwidthSelector`` refuses one that is
+    empty, not finite or not positive (nan or inf from geomspace, unwarned)."""
     try:
         lo, hi, count = spec.split(":")
-        return np.geomspace(float(lo), float(hi), int(count))
+        with np.errstate(all="ignore"):
+            return np.geomspace(float(lo), float(hi), int(count))
     except ValueError as exc:
         raise ConfigError(f"bad --lscv-grid {spec!r}, expected lo:hi:count") from exc
 

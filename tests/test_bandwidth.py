@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.spatial.distance import pdist
 
 from kdeforge import bandwidth, estimator
 from kdeforge.bandwidth import (
@@ -107,7 +113,8 @@ def test_lscv_picks_argmin(rng):
 def test_lscv_tie_breaks_to_smaller_h(monkeypatch, rng):
     data = rng.normal(size=50)
     monkeypatch.setattr(bandwidth, "_lscv_scores_gaussian",
-                        lambda sample, h_grid: np.zeros(h_grid.size))
+                        lambda sample, h_grid: (np.zeros(h_grid.size),
+                                                np.zeros(h_grid.size)))
     result = lscv(Sample(data), GAUSS1, np.array([0.3, 0.6, 0.9]))
     assert result.h == 0.3
 
@@ -139,6 +146,166 @@ def test_lscv_recovers_reasonable_h_normal_data(rng):
         h = lscv(sample, GAUSS1, default_lscv_grid(sample)).h
         hits += 0.5 * h0 <= h <= 2.0 * h0
     assert hits >= 0.9 * reps
+
+
+def pdist_lscv_scores(data, h_grid):
+    """Exact Gaussian CV scores from the full pdist pair vector: the
+    reference the pair walk and the binned screen must agree with."""
+    data = np.asarray(data, dtype=float).reshape(len(data), -1)
+    n, d = data.shape
+    sq = pdist(data, metric="sqeuclidean")
+    e = np.empty_like(sq)
+    scores = np.empty(h_grid.size)
+    for idx, h in enumerate(h_grid):
+        conv_norm = (4.0 * np.pi * h * h) ** (d / 2.0)
+        np.divide(sq, -4.0 * h * h, out=e)
+        np.exp(e, out=e)
+        int_p2 = (n + 2.0 * np.sum(e)) / (n * n * conv_norm)
+        kern_norm = (2.0 * np.pi) ** (d / 2.0) * h**d
+        np.square(e, out=e)
+        loo = 2.0 * np.sum(e) / (n * (n - 1) * kern_norm)
+        scores[idx] = int_p2 - 2.0 * loo
+    return scores
+
+
+def binning_bound(n, delta, h):
+    """beta = delta^2 / h^3 (1 / (8 sqrt(4 pi)) + n / (2 (n-1) sqrt(2 pi))),
+    the bound on the binning error alone (no rounding term)."""
+    return delta**2 / h**3 * (1.0 / (8.0 * math.sqrt(4.0 * math.pi))
+                              + n / (2.0 * (n - 1) * math.sqrt(2.0 * math.pi)))
+
+
+def _samples(rng, kind, n):
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "t2":
+        return rng.standard_t(2, size=n)
+    if kind == "ties":  # rounded to 0.1: many exact ties
+        return np.round(rng.normal(size=n), 1)
+    # two tight clusters far apart: most bins empty, the range set by the gap
+    return np.concatenate([rng.normal(-40.0, 1.0, n // 2),
+                           rng.normal(40.0, 1.0, n - n // 2)])
+
+
+@pytest.mark.parametrize("kind", ["normal", "t2", "ties", "clusters"])
+@pytest.mark.parametrize("n", [182, 600])
+@pytest.mark.parametrize("bins", [2**14, 2**16])
+def test_binned_error_is_within_the_binning_bound(rng, kind, n, bins):
+    x = _samples(rng, kind, n)
+    h = np.geomspace(0.02, 3.0, 25) * np.std(x)
+    lo = float(x.min())
+    delta = (float(x.max()) - lo) / (bins - 1)
+    binned, bounds = bandwidth._binned_gaussian(x, h, lo, delta, bins)
+    beta = binning_bound(n, delta, h)
+    err = np.abs(binned - pdist_lscv_scores(x, h))
+    assert np.all(err <= beta)
+    assert np.all(bounds >= beta)  # the rounding term only adds
+
+
+def test_exact_binned_crossover_is_at_lscv_bins_pairs(rng):
+    # n = 181 has 16 290 pairs, at most 2^14: exact; n = 182 has 16 471: binned
+    grid = np.geomspace(0.05, 2.0, 10)
+    assert 181 * 180 // 2 <= bandwidth._LSCV_BINS < 182 * 181 // 2
+    exact = lscv(Sample(rng.normal(size=181)), GAUSS1, grid)
+    assert np.all(exact.bounds == 0.0)
+    binned = lscv(Sample(rng.normal(size=182)), GAUSS1, grid)
+    assert np.any(binned.bounds > 0.0)
+
+
+@pytest.mark.parametrize("first_bins", [2**14, 2**6])
+def test_screened_h_is_the_exact_argmin(monkeypatch, rng, first_bins):
+    # 2^6 first bins make the binned argmin often wrong, so the answer rests
+    # on the bounds, the refinements and the exact scoring of what is left;
+    # samples from n = 12 (66 pairs) stop refining early, at few bins
+    monkeypatch.setattr(bandwidth, "_LSCV_BINS", first_bins)
+    kinds = ["normal", "t2", "ties", "clusters"]
+    smallest = math.isqrt(2 * first_bins) + 1  # the first binned n
+    screened = 0
+    for trial in range(200):
+        x = _samples(rng, kinds[trial % 4], int(rng.integers(smallest, 420)))
+        h0 = rule_of_thumb(Sample(x))
+        grid = np.geomspace(h0 * rng.uniform(0.05, 0.5), h0 * rng.uniform(1.2, 4.0),
+                            int(rng.integers(2, 31)))
+        result = lscv(Sample(x), GAUSS1, grid)
+        reference = pdist_lscv_scores(x, grid)
+        assert result.h == grid[np.argmin(reference)], trial
+        assert np.all(np.abs(result.scores - reference) <= result.bounds
+                      + 1e-12 * np.abs(reference))
+        screened += result.bounds[np.argmin(result.scores)] > 0
+    assert screened >= 100  # the screen alone decided most of them
+
+
+@pytest.mark.parametrize("data", [np.full(400, 2.5),
+                                  np.linspace(-1e300, 1e300, 400),
+                                  np.array([0.0, 1.0, 5.0])],
+                         ids=["constant", "range-1e300", "n=3"])
+def test_unbinnable_samples_take_the_exact_path_unwarned(data):
+    grid = np.geomspace(0.1, 2.0, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = lscv(Sample(data), GAUSS1, grid)
+    assert np.all(result.bounds == 0.0)
+    np.testing.assert_allclose(result.scores, pdist_lscv_scores(data, grid),
+                               rtol=1e-12)
+
+
+def test_pair_walk_visits_each_pair_once_with_pdist_bits(monkeypatch, rng):
+    # 3 rows a block at n = 20 (the budget, under n // 4): six full blocks
+    # and a lone row
+    monkeypatch.setattr(bandwidth, "_PAIR_BLOCK", 60)
+    for d in (1, 2):
+        data = np.round(rng.normal(size=(20, d)), 1)  # ties: zero distances
+        walked = np.concatenate([sq[np.isfinite(sq)]
+                                 for sq in bandwidth._pair_blocks(data)])
+        np.testing.assert_array_equal(walked, pdist(data, metric="sqeuclidean"))
+        grid = np.geomspace(0.05, 2.0, 7)
+        np.testing.assert_allclose(bandwidth._exact_gaussian(data, grid),
+                                   pdist_lscv_scores(data, grid), rtol=1e-13)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_spherical_pair_counts_match_pdist(monkeypatch, rng, d):
+    monkeypatch.setattr(bandwidth, "_PAIR_BLOCK", 500)  # several blocks
+    data = np.round(rng.normal(size=(150, d)), 2)  # ties: distances equal h
+    dist = pdist(data)
+    distinct = np.unique(dist)
+    grid = distinct[[0, 5, distinct.size // 4, distinct.size // 2, -1]]
+    np.testing.assert_array_equal(bandwidth._pairs_within(data, grid),
+                                  [np.count_nonzero(dist <= h) for h in grid])
+
+
+def test_lscv_memory_is_bounded():
+    # the pair vector and one exp array per candidate took about 100 MB each
+    # at n = 5000; the screen holds its 2^14-bin arrays and the pair walk
+    # about three 2 MB blocks
+    sample = Sample(np.random.default_rng(5).normal(size=5000))
+    grid = default_lscv_grid(sample)
+    lscv(sample, GAUSS1, grid)  # numpy.fft's first-call set-up
+    tracemalloc.start()
+    try:
+        lscv(sample, GAUSS1, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+        bandwidth._exact_gaussian(sample.data, grid[:2])
+        walk_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert walk_peak < 16e6
+
+
+def test_lscv_leaves_scipy_spatial_unloaded(tmp_path):
+    src = os.path.dirname(os.path.dirname(bandwidth.__file__))
+    path = tmp_path / "x.csv"
+    path.write_text("\n".join(repr(float(v)) for v in
+                              np.random.default_rng(3).normal(size=400)) + "\n")
+    probe = ("import sys; from kdeforge import cli; "
+             f"codes = [cli.main(['bandwidth', '--input', {str(path)!r}, "
+             "'--bandwidth-method', 'lscv', '--kernel', k]) "
+             "for k in ('gaussian', 'spherical')]; "
+             "print(codes, 'scipy.spatial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0] False"
 
 
 def test_curvature_functional_normal_reference():
@@ -237,6 +404,10 @@ def test_selector_validation():
         BandwidthSelector(SelectorMethod.FIXED, fixed_h=-1.0)
     with pytest.raises(ValueError):
         BandwidthSelector(SelectorMethod.LSCV, lscv_grid=[0.5, 0.2])
+    # an empty, non-finite or non-positive grid is refused before any data
+    for grid in ([], [0.1, np.inf], [np.nan, 0.5], [-1.0, 0.5], [0.0, 0.5]):
+        with pytest.raises(ValueError, match="LSCV"):
+            BandwidthSelector(SelectorMethod.LSCV, lscv_grid=grid)
     # a value the method would not read is refused, not dropped
     with pytest.raises(ValueError, match="'fixed' method, not 'rot'"):
         BandwidthSelector(SelectorMethod.RULE_OF_THUMB, fixed_h=0.3)

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,29 @@ def test_bandwidth_subcommand(tmp_path, normal_csv, capsys):
     assert cli.main(base + ["--bandwidth-method", "plugin",
                             "--lscv-grid", "0.1:1.0:8"]) == 2
     assert "'lscv' method, not 'plugin'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,code,message", [
+    ("0.1:inf:5", 2, "finite, positive and increasing"),
+    ("nan:1:3", 2, "finite, positive and increasing"),
+    ("inf:inf:2", 2, "finite, positive and increasing"),
+    ("-1:1:3", 2, "finite, positive and increasing"),
+    ("0.1:1:0", 2, "empty"),
+    ("1e-200:1:3", 3, "candidate h=1e-200 "),
+    ("0.1:1e308:3", 3, "candidate h=1e+308 "),
+])
+def test_bad_lscv_grids_exit_cleanly_unwarned(tmp_path, normal_csv, capsys,
+                                              spec, code, message):
+    # a grid that is empty, not finite or not positive is the flag's fault
+    # (exit 2); a candidate that cannot be scored on this sample is the
+    # data's (exit 3), named in the message; neither warns
+    out = tmp_path / "h.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["bandwidth", "--input", normal_csv, "--bandwidth-method",
+                         "lscv", f"--lscv-grid={spec}", "--output", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ci_and_band_subcommands(tmp_path, normal_csv, capsys):
