@@ -5,7 +5,7 @@ Every (n, block) job of the package -- kernel and CDF matrices, kernel sums,
 replicate counts and their products -- cuts its rows or queries into slices
 (``split``) and calls one function per slice (``run``).  Each call writes only
 its own slice of the output, and each job is written so that its bits do not
-depend on where the slices fall (see ``estimator._each_block`` and
+depend on where the slices fall (see ``estimator._pairs`` and
 ``inference._count_blocks``), so the slices may run in any order, on any
 thread, and give the same result whatever the number of workers.  numpy
 releases the interpreter lock in the array operations these jobs spend their

@@ -51,42 +51,36 @@ class SmoothedCDF:
 
 
 def _cdf_terms(model: DensityModel, xs: np.ndarray) -> np.ndarray:
-    """(n, m) matrix of the integrated kernel at (xs_j - X_i) / h, filled one
-    block of sample rows at a time; its mean over the sample is the smoothed
-    CDF."""
-    q = xs[:, None]
-    out = np.empty((model.n, xs.size))
-
-    def fill(rows):
-        (u,) = estimator._offsets(model, q, rows, out=out[rows])
-        out[rows] = integrated(model.kernel, u)
-
-    estimator._each_block(model.n, xs.size, fill)
-    return out
+    """(n, m) matrix of the integrated kernel at (xs_j - X_i) / h for m queries
+    xs, of shape (m,) or (m, 1), filled one block of sample rows at a time;
+    its mean over the sample is the smoothed CDF."""
+    return estimator._pairs(model, np.reshape(xs, (-1, 1)),
+                            lambda rows, u: np.copyto(u[0], integrated(model.kernel, u[0])),
+                            np.empty((model.n, xs.size)))
 
 
 def _cdf_values(model: DensityModel, xs: np.ndarray) -> np.ndarray:
     """The smoothed CDF at xs, ``_cdf_terms(model, xs).mean(axis=0)`` bit for
-    bit (see ``estimator._each_block``) without building the (n, m) matrix."""
-    q = xs[:, None]
+    bit (see ``estimator._pairs``) without building the (n, m) matrix."""
     out = np.empty(xs.size)
 
-    def fill(rows):
-        (u,) = estimator._offsets(model, q[rows])
-        out[rows] = integrated(model.kernel, u).mean(axis=0)
+    def fill(rows, u):
+        out[rows] = integrated(model.kernel, u[0]).mean(axis=0)
 
-    estimator._each_block(xs.size, model.n, fill)
+    estimator._pairs(model, np.reshape(xs, (-1, 1)), fill)
     return out
 
 
 def cdf_at(scdf: SmoothedCDF, x) -> float:
-    """Smoothed CDF value at a point."""
-    return float(_cdf_values(scdf.model, np.ravel(np.asarray(x, dtype=float))[:1])[0])
+    """Smoothed CDF value at a finite point."""
+    x = estimator._query_matrix(scdf.model, np.reshape(x, (-1, 1)))
+    return float(_cdf_values(scdf.model, x[:1])[0])
 
 
 def cdf_many(scdf: SmoothedCDF, xs) -> np.ndarray:
-    """Vectorized smoothed CDF over a 1-d array of query points."""
-    return _cdf_values(scdf.model, np.asarray(xs, dtype=float).ravel())
+    """Vectorized smoothed CDF over a 1-d array of finite query points."""
+    return _cdf_values(scdf.model,
+                       estimator._query_matrix(scdf.model, np.reshape(xs, (-1, 1))))
 
 
 def _invert(model: DensityModel, xs: np.ndarray, f: np.ndarray,

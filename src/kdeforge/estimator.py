@@ -4,13 +4,12 @@ The estimator is p_hat(x) = (1 / (n h^d)) * sum_i K((x - X_i) / h).  Partial
 derivatives up to order two are computed from the analytic Gaussian kernel
 derivatives, scaled by 1 / (n h^(d + |beta|)).
 
-Evaluation at arbitrary queries goes through one engine, ``_kernel_sums``:
-it walks the queries in blocks whose (n, block) temporaries hold about
-_BLOCK_ELEMENTS values, so memory stays bounded whatever the number of
-queries, and it keeps the exact difference form (x - X_i) / h.  The (n, m)
-kernel matrices walk the sample rows instead, in place in their output.
-Both run their blocks on the CPUs this process may use (``blocks``), with
-the same bits whatever their number.
+Every kernel or CDF term at arbitrary queries comes from one pair pass,
+``_pairs``: it forms the exact offsets u = (x - X_i) / h a slice of about
+_BLOCK_ELEMENTS values at a time, and each caller says only what it does with
+u.  Sums over the sample walk slices of queries; (n, m) matrices walk slices
+of sample rows, in place in their output.  Both run their slices on the CPUs
+this process may use (``blocks``), with the same bits whatever their number.
 
 Gaussian tensor grids take a second path, ``_factor_sums``.  The
 Gaussian kernel is a product of 1-d kernels, so on a grid with axes a_l the
@@ -35,9 +34,9 @@ from .kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError, evalu
 # this radius for its near-pair ratio.
 TRUNCATION_RADIUS = 6.0
 
-# Each (n, block) temporary of the kernel-sum engine holds about this many
-# float64 values (2 MB), whatever the number of queries; with several workers,
-# the temporaries of all the blocks in flight do.
+# Each slice temporary of the pair pass holds about this many float64 values
+# (2 MB), whatever the number of queries; with several workers, the
+# temporaries of all the slices in flight do.
 _BLOCK_ELEMENTS = 2**18
 
 # The grid path sets per-axis factors below exp(-_FLUSH_EXPONENT / d) to 0, so
@@ -137,31 +136,36 @@ def _query_matrix(model: DensityModel, x) -> np.ndarray:
     return x
 
 
-def _each_block(total: int, unit: int, fn) -> None:
-    """Run fn(rows) on every slice of an (n, m) job whose slices walk
-    ``total`` items (queries or sample rows) of ``unit`` values each: about
-    _BLOCK_ELEMENTS values a slice on one CPU, that budget shared among the
-    workers on several (see ``blocks``).
+def _pairs(model: DensityModel, x: np.ndarray, fn, out=None):
+    """The pair pass: fn(rows, u) on each slice of the scaled offsets
+    u_l = (x_jl - X_il) / h of the (m, d) queries ``x``, one array per l.
 
-    numpy sums an (n, 1) array over n pairwise but a wider one row by row, so
-    a slice holds at least two items (a lone last query joins the slice
-    before it): sums over n of query slices then equal those of a single
-    (n, m) array bit for bit, whatever the number of workers.
+    Given an (n, m) matrix ``out``, slices of sample rows ``rows`` meet every
+    query: u_0 is formed in out[rows], and fn leaves its entries there; the
+    pass returns ``out``.  Otherwise slices of queries ``rows`` meet all n
+    rows, and fn stores what it reduces over n.  A slice holds about
+    _BLOCK_ELEMENTS values on one CPU, that budget shared among the workers
+    on several (see ``blocks``).  numpy sums an (n, 1) array over n pairwise
+    but a wider one row by row, so a slice holds at least two items (a lone
+    last query joins the slice before it): sums over n of query slices then
+    equal those of a single (n, m) array bit for bit, whatever the number of
+    workers.
     """
-    blocks.run(fn, *blocks.split(total, unit, _BLOCK_ELEMENTS, 2))
+    data = model.sample.data
 
+    def one_slice(rows):
+        q, sample, block = ((x[rows], data, None) if out is None
+                            else (x, data[rows], out[rows]))
+        u = []
+        for l in range(x.shape[1]):
+            ul = np.subtract(q[:, l], sample[:, l:l + 1], out=block if l == 0 else None)
+            ul /= model.bandwidth
+            u.append(ul)
+        fn(rows, u)
 
-def _offsets(model: DensityModel, q: np.ndarray, rows=slice(None), out=None) -> list:
-    """The scaled offsets u_l = (q_l - X_il) / h of the (b, d) queries ``q``
-    from the sample rows ``rows``, one (rows, b) array per coordinate; u_0 is
-    formed in ``out`` when it is given."""
-    data = model.sample.data[rows]
-    u = []
-    for l in range(q.shape[1]):
-        ul = np.subtract(q[:, l], data[:, l:l + 1], out=out if l == 0 else None)
-        ul /= model.bandwidth
-        u.append(ul)
-    return u
+    walk = (x.shape[0], model.n) if out is None else (model.n, x.shape[0])
+    blocks.run(one_slice, *blocks.split(*walk, _BLOCK_ELEMENTS, 2))
+    return out
 
 
 def _squared_norm(u: list, out=None) -> np.ndarray:
@@ -185,8 +189,7 @@ def _kernel_sums(model: DensityModel, x: np.ndarray, order: int):
     m, d = x.shape
     sums = [np.empty((m,) + (d,) * k) for k in range(order + 1)]
 
-    def fill(rows):
-        u = _offsets(model, x[rows])
+    def fill(rows, u):
         sq = _squared_norm(u)
         k = evaluate_sq(model.kernel, sq, out=sq)  # sq is not needed again
         sums[0][rows] = k.sum(axis=0)
@@ -198,7 +201,7 @@ def _kernel_sums(model: DensityModel, x: np.ndarray, order: int):
                     sums[2][rows, l, j] = sums[2][rows, j, l] = np.einsum(
                         "ij,ij->j", ku, u[j])
 
-    _each_block(m, model.n, fill)
+    _pairs(model, x, fill)
     return tuple(sums)
 
 
@@ -221,31 +224,22 @@ def kernel_value_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:
     column sums are the KDE and a replicate's counts @ it are that replicate's.
     """
     x = _query_matrix(model, queries)
-    out = np.empty((model.n, x.shape[0]))
-
-    def fill(rows):
-        block = out[rows]  # u_0, then the squared norm, then K, in place
-        sq = _squared_norm(_offsets(model, x, rows, out=block), out=block)
-        evaluate_sq(model.kernel, sq, out=block)
-
-    _each_block(model.n, x.shape[0], fill)
-    return out
+    return _pairs(model, x, lambda rows, u: evaluate_sq(  # all in place in u_0
+        model.kernel, _squared_norm(u, out=u[0]), out=u[0]), np.empty((model.n, len(x))))
 
 
 def kernel_laplacian_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:
     """(n, m) matrix of (sum_l d^2/du_l^2) K(u) at u = (x_q - X_i) / h."""
     _require_gaussian(model, "laplacian")
     x = _query_matrix(model, queries)
-    out = np.empty((model.n, x.shape[0]))
 
-    def fill(rows):
-        sq = _squared_norm(_offsets(model, x, rows))
-        block = evaluate_sq(model.kernel, sq, out=out[rows])
+    def fill(rows, u):
+        sq = _squared_norm(u)
+        block = evaluate_sq(model.kernel, sq, out=u[0])  # u_0 is not needed again
         sq -= model.dim
         block *= sq
 
-    _each_block(model.n, x.shape[0], fill)
-    return out
+    return _pairs(model, x, fill, np.empty((model.n, len(x))))
 
 
 def density(model: DensityModel, queries) -> np.ndarray:
@@ -369,7 +363,7 @@ def evaluate_grid(model: DensityModel, axes=None, resolution: int = 256) -> Eval
     """Evaluate the KDE on a tensor-product grid (row-major over axes).
 
     Gaussian grids are products of per-axis factors (``_factor_sums``); other
-    kernels go through the engine at every grid point.
+    kernels go through the pair pass at every grid point.
     """
     if axes is None:
         axes = default_axes(model, resolution=resolution)

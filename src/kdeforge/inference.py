@@ -487,29 +487,39 @@ class DebiasedDensity:
         self.model = model
         self.sigma_k2 = kernels.constants(model.kernel)["sigma_k2"]
 
+    def _contributions(self, u: list) -> np.ndarray:
+        """K(u) (1 - sigma_k2 (||u||^2 - d) / 2) / (n h^d) at the offsets u,
+        formed in u[0]."""
+        m = self.model
+        sq = estimator._squared_norm(u)
+        block = kernels.evaluate_sq(m.kernel, sq, out=u[0])  # u_0 is not needed again
+        sq -= m.dim
+        sq *= -0.5 * self.sigma_k2
+        sq += 1.0
+        block *= sq
+        block /= m.n * m.bandwidth**m.dim
+        return block
+
     def correction_matrix(self, grid: np.ndarray) -> np.ndarray:
         """(n, m) per-observation contributions to p_tilde on the grid,
         K(u) (1 - sigma_k2 (||u||^2 - d) / 2) / (n h^d) at u = (x_q - X_i) / h,
         filled in place from one kernel pass over blocks of sample rows."""
-        m = self.model
-        x = estimator._query_matrix(m, grid)
-        out = np.empty((m.n, x.shape[0]))
-
-        def fill(rows):
-            sq = estimator._squared_norm(estimator._offsets(m, x, rows))
-            block = kernels.evaluate_sq(m.kernel, sq, out=out[rows])
-            sq -= m.dim
-            sq *= -0.5 * self.sigma_k2
-            sq += 1.0
-            block *= sq
-            block /= m.n * m.bandwidth**m.dim
-
-        estimator._each_block(m.n, x.shape[0], fill)
-        return out
+        x = estimator._query_matrix(self.model, grid)
+        return estimator._pairs(self.model, x, lambda rows, u: self._contributions(u),
+                                np.empty((self.model.n, x.shape[0])))
 
     def evaluate(self, queries) -> np.ndarray:
-        grid = _as_grid(self.model, queries)
-        return self.correction_matrix(grid).sum(axis=0)
+        """p_tilde at the queries (a 1-D array is m points): the column sums of
+        their ``correction_matrix`` bit for bit (see ``estimator._pairs``),
+        without building it."""
+        x = _as_grid(self.model, queries)
+        out = np.empty(x.shape[0])
+
+        def fill(rows, u):
+            out[rows] = self._contributions(u).sum(axis=0)
+
+        estimator._pairs(self.model, x, fill)
+        return out
 
     def __call__(self, x) -> float:
         return float(self.evaluate(x)[0])

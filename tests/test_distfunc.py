@@ -201,6 +201,15 @@ def test_cdf_block_errors_reach_the_caller(monkeypatch, rng, job):
                                       lambda: getattr(distfunc, job)(model, xs))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cdf_refuses_non_finite_queries(rng, bad):
+    # as density does: a NaN query gave NaN, and +/-inf gave 1.0 and 0.0
+    scdf = SmoothedCDF(DensityModel(Sample(rng.normal(size=50)), GAUSS1, 0.4))
+    for query in (lambda: cdf_at(scdf, bad), lambda: cdf_many(scdf, [0.0, bad])):
+        with pytest.raises(ValueError, match="query point must be finite"):
+            query()
+
+
 @pytest.mark.parametrize("kernel", [GAUSS1, SPHERE1])
 def test_cdf_matches_pairwise_reference(rng, kernel):
     data = rng.normal(size=20_000)

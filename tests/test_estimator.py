@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from kdeforge import blocks, estimator, kernels
+from kdeforge import blocks, distfunc, estimator, kernels
 from kdeforge.estimator import DensityModel, Sample
+from kdeforge.inference import DebiasedDensity
 from kdeforge.kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError
 
 from conftest import assert_block_error_reaches_caller, fd_gradient, on_each_worker_count
@@ -181,7 +182,7 @@ def test_sample_validation():
         DensityModel(Sample(np.array([0.0])), GAUSS2, 1.0)
 
 
-# --- the blocked kernel-sum engine ---
+# --- the pair pass: kernel sums and matrices in blocks ---
 
 
 def dense_sums(model, x):
@@ -259,44 +260,62 @@ def test_split_shares_the_budget_among_workers(monkeypatch, cpus, total, unit,
     assert size >= floor
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_block_jobs_give_the_same_bits_on_any_number_of_workers(monkeypatch, rng, d):
+def _sums(order):
+    return lambda model, x: estimator._kernel_sums(model, x, order)
+
+
+# Every fill of the pair pass: its results at the (m, d) queries x, whether
+# it is an (n, m) matrix (else a reduction over n, one entry per query), and
+# the module and name of the function its slices call.
+PASS_FILLS = {
+    "kernel_sums_0": (_sums(0), False, estimator, "evaluate_sq"),
+    "kernel_sums_1": (_sums(1), False, estimator, "evaluate_sq"),
+    "kernel_sums_2": (_sums(2), False, estimator, "evaluate_sq"),
+    "kernel_value_matrix": (lambda model, x: (estimator.kernel_value_matrix(model, x),),
+                            True, estimator, "evaluate_sq"),
+    "kernel_laplacian_matrix": (
+        lambda model, x: (estimator.kernel_laplacian_matrix(model, x),),
+        True, estimator, "evaluate_sq"),
+    "correction_matrix": (lambda model, x: (DebiasedDensity(model).correction_matrix(x),),
+                          True, kernels, "evaluate_sq"),
+    "debiased_density": (lambda model, x: (DebiasedDensity(model).evaluate(x),),
+                         False, kernels, "evaluate_sq"),
+    "cdf_terms": (lambda model, x: (distfunc._cdf_terms(model, x[:, 0]),),
+                  True, distfunc, "integrated"),
+    "cdf_values": (lambda model, x: (distfunc._cdf_values(model, x[:, 0]),),
+                   False, distfunc, "integrated"),
+}
+PASS_CASES = [  # the CDF fills are 1-d; the others all take the Gaussian kernel
+    *(pytest.param(fill, d, KernelFamily.GAUSSIAN, id=f"{fill}-d{d}")
+      for fill in PASS_FILLS if not fill.startswith("cdf") for d in (1, 2, 3)),
+    *(pytest.param(fill, 1, family, id=f"{fill}-{family.value}")
+      for fill in ("cdf_terms", "cdf_values") for family in KernelFamily),
+]
+
+
+@pytest.mark.parametrize("fill,d,family", PASS_CASES)
+def test_pair_pass_fill(monkeypatch, rng, fill, d, family):
     # 6 n values a budget: on 3 workers, 2-query slices of the 33 queries and
     # 2-row slices of the 41 sample rows, each ending in a lone item that
     # joins the slice before it
-    model = DensityModel(Sample(rng.normal(size=(41, d))),
-                         KernelSpec(KernelFamily.GAUSSIAN, d), 0.7)
+    job, matrix, owner, name = PASS_FILLS[fill]
+    model = DensityModel(Sample(rng.normal(size=(41, d))), KernelSpec(family, d), 0.7)
     x = rng.normal(scale=1.5, size=(33, d))
     monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 6 * 41)
-
-    def jobs():
-        return (*estimator._kernel_sums(model, x, 2),
-                estimator.kernel_value_matrix(model, x),
-                estimator.kernel_laplacian_matrix(model, x))
-
-    first, *rest = on_each_worker_count(monkeypatch, jobs)
+    # the same bits on 1, 2 and 3 workers, and in one block
+    first, *rest = on_each_worker_count(monkeypatch, lambda: job(model, x))
     for other in rest:
         for got, ref in zip(other, first):
             np.testing.assert_array_equal(got, ref)
-    monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 2**18)  # one block
-    for got, ref in zip(jobs(), first):
+    monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 2**18)
+    for got, ref in zip(job(model, x), first):
         np.testing.assert_array_equal(got, ref)
-
-
-def test_matrices_of_no_queries_are_empty(rng):
-    model = DensityModel(Sample(rng.normal(size=(41, 2))), GAUSS2, 0.7)
-    for matrix in (estimator.kernel_value_matrix, estimator.kernel_laplacian_matrix):
-        assert matrix(model, np.empty((0, 2))).shape == (41, 0)
-
-
-@pytest.mark.parametrize("job", ["sums", "matrix"])
-def test_block_errors_reach_the_caller(monkeypatch, rng, job):
-    model = DensityModel(Sample(rng.normal(size=(41, 2))), GAUSS2, 0.7)
-    x = rng.normal(size=(33, 2))
+    # no queries, no entries
+    for empty in job(model, np.empty((0, d))):
+        assert (empty.shape == (41, 0)) if matrix else (empty.shape[0] == 0)
+    # an error in a slice reaches the caller as raised
     monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 6 * 41)
-    run = {"sums": lambda: estimator._kernel_sums(model, x, 1),
-           "matrix": lambda: estimator.kernel_value_matrix(model, x)}[job]
-    assert_block_error_reaches_caller(monkeypatch, estimator, "evaluate_sq", run)
+    assert_block_error_reaches_caller(monkeypatch, owner, name, lambda: job(model, x))
 
 
 def test_grid_evaluation_memory_is_bounded(rng):

@@ -576,16 +576,28 @@ def test_correction_matrix_matches_two_matrix_form(monkeypatch, rng, d, n, m):
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
-def test_correction_matrix_gives_the_same_bits_on_any_number_of_workers(
-        monkeypatch, rng):
-    model = DensityModel(Sample(rng.normal(size=(41, 2))),
-                         KernelSpec(KernelFamily.GAUSSIAN, 2), 0.6)
-    x = rng.normal(scale=1.5, size=(33, 2))
-    monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 6 * 33)  # 2-row slices on 3
-    first, *rest = on_each_worker_count(
-        monkeypatch, lambda: DebiasedDensity(model).correction_matrix(x))
-    for other in rest:
-        np.testing.assert_array_equal(other, first)
+@pytest.mark.parametrize("n,m,d", [(20_000, 2048, 1), (20_000, 1, 1), (41, 33, 2),
+                                   (500, 7, 3)])
+def test_debiased_density_sums_the_correction_matrix(rng, n, m, d):
+    model = DensityModel(Sample(rng.normal(size=(n, d))),
+                         KernelSpec(KernelFamily.GAUSSIAN, d), 0.3)
+    x = rng.normal(scale=1.5, size=(m, d))
+    deb = DebiasedDensity(model)
+    tracemalloc.start()
+    try:
+        got = deb.evaluate(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the column sums of correction_matrix(x), bit for bit.  numpy sums a
+    # matrix of two or more columns row by row, so the reference may sum it in
+    # pieces of 128 columns rather than as one (20 000, 2048) matrix of 328 MB
+    ref = np.concatenate([deb.correction_matrix(x[a:a + 128]).sum(axis=0)
+                          for a in range(0, m, 128)])
+    np.testing.assert_array_equal(got, ref)
+    # the pass's slices hold about 2^18 values (2 MB) each; 4.3 MB measured
+    # at the largest size, where building the whole matrix took 317 MB
+    assert peak < 16 * 2**20
 
 
 def test_debiased_band_memory_is_bounded(rng):
