@@ -1,5 +1,5 @@
-"""One executor for block jobs: a job's slices, run on the CPUs this process
-may use.
+"""How work meets CPUs: a block job's slices on threads, and independent
+ranges of work (Monte Carlo trials) in forked processes.
 
 Every (n, block) job of the package -- kernel and CDF matrices, kernel sums,
 replicate counts and their products -- cuts its rows or queries into slices
@@ -13,12 +13,20 @@ time in (exp, ndtr, integers, bincount, matmul), so the slices overlap.
 
 A job runs on the calling thread and on the threads of an executor that
 lives for that job alone; a job of one slice, or on one CPU, runs inline.
+
+Work whose Python part dominates gains nothing from threads, which share the
+interpreter lock: ``run_forked`` runs its contiguous ranges in forked worker
+processes instead.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+
+# True while run_forked's processes hold every CPU: in the caller for the
+# length of the call, and in its workers (which inherit it) for their life.
+_forked = False
 
 
 def cpus() -> int:
@@ -33,18 +41,19 @@ def split(total: int, unit: int, budget: int, floor: int, align: int = 1):
     """Cut range(total), items of ``unit`` values each, into slices; return
     (slices, workers).
 
-    A job that fits one slice of ``budget`` values runs as one slice, inline.
-    Otherwise w workers take slices of about budget / w values each, so the
-    slices in flight hold what one slice of the whole budget would; w is the
-    number of CPUs, or fewer where a slice would hold fewer than ``floor``
-    items.  Slices start at multiples of ``align`` (which divides ``floor``),
-    and a lone last item joins the slice before it.
+    A job that fits one slice of ``budget`` values runs as one slice, inline;
+    inside ``run_forked`` every job runs inline.  Otherwise w
+    workers take slices of about budget / w values each, so the slices in
+    flight hold what one slice of the whole budget would; w is the number of
+    CPUs, or fewer where a slice would hold fewer than ``floor`` items.
+    Slices start at multiples of ``align`` (which divides ``floor``), and a
+    lone last item joins the slice before it.
     """
     def step(workers):  # an item of no values (no queries) counts as one
         return max(floor, budget // (workers * max(unit, 1)) // align * align)
 
     workers = 1
-    if step(1) < total - 1:
+    if step(1) < total - 1 and not _forked:
         workers = max(1, min(cpus(), budget // (floor * unit)))
     size = step(workers)
     edges = [0, *range(size, total - 1, size), total]
@@ -86,3 +95,90 @@ def run(fn, slices, workers: int) -> None:
         work()
         for helper in helpers:
             helper.result()
+
+
+def _fork_workers(total: int) -> int:
+    """How many processes run_forked may use for ``total`` items: one per CPU,
+    at most one per item, and one where forking is unavailable or unsafe."""
+    workers = min(cpus(), total)
+    if workers < 2 or _forked:
+        return 1
+    import multiprocessing  # here, not at the top: see run
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        # a child forked beside other threads may inherit a lock one of
+        # them holds, and never see it released
+        return 1
+    return workers
+
+
+def _openblas() -> list:
+    """(get, set) of the thread count of each OpenBLAS this process has loaded
+    (numpy's among them), found by path in /proc/self/maps and by the names
+    OpenBLAS builds export; none where the map or the functions are missing."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return []
+    import ctypes
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: the same handle
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+            names = [f"{prefix}openblas_{op}_num_threads{suffix}" for op in ("get", "set")]
+            if all(hasattr(lib, name) for name in names):
+                get, put = (getattr(lib, name) for name in names)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return found
+
+
+def run_forked(fn, total: int) -> list:
+    """[fn(r) for r in ranges]: range(total) cut into w contiguous ranges,
+    ranges 1..w-1 in forked worker processes and range 0 on the caller.
+
+    w is the number of CPUs, at most ``total``; it is 1 (fn runs inline, once)
+    on one CPU, without the fork start method, inside run_forked, or when
+    other threads live in this process.  Workers are forked, not spawned:
+    they start from the caller's memory, with no imports to redo and the
+    same function objects (a rebound construction, a tracer's wrappers) as
+    the caller.  fn and each result are pickled.
+
+    OpenBLAS runs on one thread for the length of the call, whatever w: its
+    products round differently on different numbers of threads, so this
+    keeps fn's results the same on any w.  With w >= 2, each process also
+    runs its block jobs inline, so the w processes keep w threads busy.
+
+    An exception raised by fn reaches the caller with its type and message,
+    once every range has finished: the caller's own first, else that of the
+    lowest range.  No worker process outlives the call.
+    """
+    global _forked
+    workers = _fork_workers(total)
+    edges = [total * k // workers for k in range(workers + 1)]
+    ranges = [range(a, b) for a, b in zip(edges, edges[1:])]
+    blas, forked = _openblas(), _forked
+    blas_threads = [get() for get, _ in blas]
+    try:
+        for _, put in blas:
+            put(1)
+        if workers == 1:
+            return [fn(ranges[0])]
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        _forked = True  # the workers inherit this and the one BLAS thread
+        with ProcessPoolExecutor(workers - 1, multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(fn, r) for r in ranges[1:]]
+            first = fn(ranges[0])
+            return [first, *(f.result() for f in futures)]
+    finally:
+        _forked = forked
+        for (_, put), threads in zip(blas, blas_threads):
+            put(threads)

@@ -77,7 +77,7 @@ class BootstrapPlan:
 
     def __post_init__(self):
         if self.replicates < 2:
-            raise ValueError("need at least 2 bootstrap replicates")
+            raise ValueError(f"need at least 2 bootstrap replicates, got {self.replicates}")
         if self.replicates >= 2**32:
             # r must fit the one SeedSequence word _seed_words gives it
             raise ValueError(f"need fewer than 2**32 replicates, got {self.replicates}")
@@ -348,7 +348,7 @@ def _check_alpha(alpha: float):
 def _check_bootstrap(alpha: float, plan: BootstrapPlan):
     _check_alpha(alpha)
     if plan.replicates < 20:
-        raise ValueError("need B >= 20 for quantile resolution")
+        raise ValueError(f"need B >= 20 for quantile resolution, got {plan.replicates}")
 
 
 def _sup_quantile(boot: np.ndarray, center: np.ndarray, alpha: float) -> float:
@@ -501,10 +501,10 @@ class DebiasedDensity:
         return block
 
     def correction_matrix(self, grid: np.ndarray) -> np.ndarray:
-        """(n, m) per-observation contributions to p_tilde on the grid,
-        K(u) (1 - sigma_k2 (||u||^2 - d) / 2) / (n h^d) at u = (x_q - X_i) / h,
+        """(n, m) per-observation contributions to p_tilde on the grid (a 1-D
+        array is m points), K(u) (1 - sigma_k2 (||u||^2 - d) / 2) / (n h^d) at u = (x_q - X_i) / h,
         filled in place from one kernel pass over blocks of sample rows."""
-        x = estimator._query_matrix(self.model, grid)
+        x = _as_grid(self.model, grid)
         return estimator._pairs(self.model, x, lambda rows, u: self._contributions(u),
                                 np.empty((self.model.n, x.shape[0])))
 

@@ -13,24 +13,47 @@ Targets:
 Coverage is evaluated on the grid restricted to the truth's central region
 [mu - 3 s, mu + 3 s] to avoid tail artifacts; the restriction is recorded in
 the report metadata.
+
+Trial t draws everything from default_rng([seed, 10 000 + t]).  The trials
+run in contiguous ranges, one per CPU of the affinity mask, all but the first
+in forked worker processes (``blocks.run_forked``), and their outcomes are
+joined in trial order, so the report is the same bytes on any number of
+CPUs.  A bad configuration is refused before any trial runs, so that no
+configuration error comes from a worker.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bandwidth, inference
+from . import bandwidth, blocks, inference
 from .estimator import DensityModel, Sample
 from .kernels import KernelFamily, KernelSpec
+
+
+def _check_normal(mean: float, sd: float, suffix: str = ""):
+    """Refuse a normal component whose mean is not finite or whose sd is not
+    finite and positive, naming the parameter (``mean`` or ``sd`` + suffix)."""
+    if not math.isfinite(mean):
+        raise ValueError(f"mean{suffix} must be finite, got {mean}")
+    if not math.isfinite(sd):
+        raise ValueError(f"sd{suffix} must be finite, got {sd}")
+    if sd <= 0:
+        raise ValueError(f"sd{suffix} must be positive, got {sd}")
 
 
 @dataclass(frozen=True)
 class NormalTruth:
     mean: float = 0.0
     sd: float = 1.0
+
+    def __post_init__(self):
+        _check_normal(self.mean, self.sd)
 
     def sample(self, rng: np.random.Generator, n: int) -> Sample:
         return Sample(rng.normal(self.mean, self.sd, size=n))
@@ -59,6 +82,8 @@ class NormalMixtureTruth:
     def __post_init__(self):
         if not 0.0 < self.weight < 1.0:
             raise ValueError("mixture weight must be in (0, 1)")
+        _check_normal(self.mean1, self.sd1, "1")
+        _check_normal(self.mean2, self.sd2, "2")
 
     def _components(self):
         return ((self.weight, self.mean1, self.sd1),
@@ -122,6 +147,8 @@ METHODS = {
     "band-bootstrap": lambda *args: inference.band_bootstrap(*args),
     "band-debiased": lambda *args: inference.band_debiased_bootstrap(*args),
 }
+# The methods whose construction also checks B (``inference._check_bootstrap``).
+_CHECKS_B = {"ci-bootstrap", "band-bootstrap", "band-debiased"}
 
 
 def parse_truth(spec: str):
@@ -151,19 +178,52 @@ def simulate_coverage(truth, n: int, method: str, alpha: float, trials: int,
         truth = parse_truth(truth)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    inference.check_seed(seed)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {tuple(METHODS)}")
+    least_n = 2 if h is None else 1  # the rule of thumb needs a spread
+    if n < least_n:
+        raise ValueError(f"n must be >= {least_n}, got {n}")
+    plan = inference.BootstrapPlan(replicates, seed)  # checks B and the seed
+    if method in _CHECKS_B:
+        inference._check_bootstrap(alpha, plan)
+    else:
+        inference._check_alpha(alpha)
     target = "true" if method == "band-debiased" else "smoothed"
     lo, hi = truth.central_region()
+    if eval_points is None and grid_size < 1:
+        raise ValueError(f"grid size must be >= 1, got {grid_size}")
     grid = (np.asarray(eval_points, dtype=float).ravel()
             if eval_points is not None else np.linspace(lo, hi, grid_size))
-    kernel = KernelSpec(KernelFamily.GAUSSIAN, 1)
+    if grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ValueError("eval_points must be nonempty and finite")
 
     start = time.perf_counter()
-    hits = 0
-    widths = np.empty(trials)
-    for t in range(trials):
+    run = functools.partial(_run_trials, truth, n, method, alpha, seed,
+                            replicates, grid, h, target)
+    outcomes = [o for part in blocks.run_forked(run, trials) for o in part]
+    widths = np.array([width for _, width in outcomes])
+    elapsed = time.perf_counter() - start
+    return CoverageReport(
+        method=method, target=target, nominal=1.0 - alpha, trials=trials,
+        coverage=sum(covered for covered, _ in outcomes) / trials,
+        mean_width=float(widths.mean()), runtime_seconds=elapsed,
+        metadata={
+            "n": n, "replicates": replicates, "seed": seed,
+            "grid": [float(grid.min()), float(grid.max()), int(grid.size)],
+            "central_region": [lo, hi],
+            "bandwidth": "rule-of-thumb" if h is None else h,
+        },
+    )
+
+
+def _run_trials(truth, n, method, alpha, seed, replicates, grid, h, target,
+                trials: range) -> list:
+    """(covered, mean width) of each trial in ``trials``, in order.  Trial t
+    draws everything from default_rng([seed, 10 000 + t]), so it gives the
+    same outcome in whichever process runs it."""
+    kernel = KernelSpec(KernelFamily.GAUSSIAN, 1)
+    outcomes = []
+    for t in trials:
         rng = np.random.default_rng([int(seed), 10_000 + t])
         sample = truth.sample(rng, n)
         h_t = h if h is not None else bandwidth.rule_of_thumb(sample)
@@ -174,17 +234,5 @@ def simulate_coverage(truth, n: int, method: str, alpha: float, trials: int,
                        else truth.smoothed_pdf(grid, h_t))
         covered = np.all((result.lower <= target_vals)
                          & (target_vals <= result.upper))
-        hits += bool(covered)
-        widths[t] = float(np.mean(result.upper - result.lower))
-    elapsed = time.perf_counter() - start
-    return CoverageReport(
-        method=method, target=target, nominal=1.0 - alpha, trials=trials,
-        coverage=hits / trials, mean_width=float(widths.mean()),
-        runtime_seconds=elapsed,
-        metadata={
-            "n": n, "replicates": replicates, "seed": seed,
-            "grid": [float(grid.min()), float(grid.max()), int(grid.size)],
-            "central_region": [lo, hi],
-            "bandwidth": "rule-of-thumb" if h is None else h,
-        },
-    )
+        outcomes.append((bool(covered), float(np.mean(result.upper - result.lower))))
+    return outcomes

@@ -3,12 +3,14 @@
 These helpers are deliberately independent of the library's computation
 paths so they can serve as oracles for it.  Two more run a block job on
 several worker counts (``kdeforge.blocks``) and check what the executor
-promises: no thread outlives a call, and an error reaches the caller.
+promises: no thread or worker process outlives a call, and an error reaches
+the caller.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import threading
 
 import numpy as np
@@ -66,13 +68,14 @@ def flood_fill_components(mask: np.ndarray) -> int:
 
 def on_each_worker_count(monkeypatch, job, counts=(1, 2, 3)):
     """job()'s results, with the block executor seeing each CPU count in
-    turn; no worker thread may outlive a call."""
+    turn; no worker thread or process may outlive a call."""
     results = []
     for count in counts:
         monkeypatch.setattr(blocks, "cpus", lambda count=count: count)
         threads = threading.active_count()
         results.append(job())
         assert threading.active_count() == threads
+        assert multiprocessing.active_children() == []
     return results
 
 

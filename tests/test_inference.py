@@ -600,6 +600,17 @@ def test_debiased_density_sums_the_correction_matrix(rng, n, m, d):
     assert peak < 16 * 2**20
 
 
+def test_correction_matrix_reads_a_1d_grid_as_points(rng):
+    # as evaluate and every construction do: a 1-D array is m points
+    model = DensityModel(Sample(rng.normal(size=300)), GAUSS1, 0.4)
+    deb = DebiasedDensity(model)
+    x = np.linspace(-2.0, 2.0, 7)
+    got = deb.correction_matrix(x)
+    np.testing.assert_array_equal(got, deb.correction_matrix(x[:, None]))
+    assert got.shape == (300, 7)
+    np.testing.assert_array_equal(got.sum(axis=0), deb.evaluate(x))
+
+
 def test_debiased_band_memory_is_bounded(rng):
     sample = Sample(rng.normal(size=20_000))
     grid = np.linspace(-4, 4, 256)
