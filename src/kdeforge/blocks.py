@@ -16,17 +16,22 @@ lives for that job alone; a job of one slice, or on one CPU, runs inline.
 
 Work whose Python part dominates gains nothing from threads, which share the
 interpreter lock: ``run_forked`` runs its contiguous ranges in forked worker
-processes instead.
+processes instead, when the work is worth a fork.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import time
 
 # True while run_forked's processes hold every CPU: in the caller for the
 # length of the call, and in its workers (which inherit it) for their life.
 _forked = False
+
+# run_forked forks only work that would take this long in sequence: a worker
+# costs 5-20 ms to start, fork and join, and two processes save half the work.
+_FORK_MIN_SECONDS = 0.02
 
 
 def cpus() -> int:
@@ -140,44 +145,52 @@ def _openblas() -> list:
 
 
 def run_forked(fn, total: int) -> list:
-    """[fn(r) for r in ranges]: range(total) cut into w contiguous ranges,
-    ranges 1..w-1 in forked worker processes and range 0 on the caller.
+    """[fn(r) for r in ranges]: contiguous ranges, in order, that cover
+    range(total).  Item 0 runs first on the caller, timed.  If the rest would
+    take _FORK_MIN_SECONDS at its time, it is cut into w ranges, ranges
+    1..w-1 in forked worker processes and range 0 on the caller; else it
+    runs inline.
 
-    w is the number of CPUs, at most ``total``; it is 1 (fn runs inline, once)
-    on one CPU, without the fork start method, inside run_forked, or when
-    other threads live in this process.  Workers are forked, not spawned:
-    they start from the caller's memory, with no imports to redo and the
-    same function objects (a rebound construction, a tracer's wrappers) as
-    the caller.  fn and each result are pickled.
+    w is the number of CPUs, at most total - 1; it is 1 (fn runs inline,
+    once) on one CPU, for fewer than three items, without the fork start
+    method, inside run_forked, or when other threads live in this process.
+    Workers are forked, not spawned: they start from the caller's memory,
+    with what item 0 imported and the same function objects (a rebound
+    construction, a tracer's wrappers) as the caller.  fn and each result
+    are pickled.
 
     OpenBLAS runs on one thread for the length of the call, whatever w: its
     products round differently on different numbers of threads, so this
     keeps fn's results the same on any w.  With w >= 2, each process also
     runs its block jobs inline, so the w processes keep w threads busy.
 
-    An exception raised by fn reaches the caller with its type and message,
-    once every range has finished: the caller's own first, else that of the
-    lowest range.  No worker process outlives the call.
+    An exception raised by fn reaches the caller with its type and message:
+    at once from item 0, else once every range has finished, the caller's
+    own first, else that of the lowest range.  No worker outlives the call.
     """
     global _forked
-    workers = _fork_workers(total)
-    edges = [total * k // workers for k in range(workers + 1)]
-    ranges = [range(a, b) for a, b in zip(edges, edges[1:])]
+    workers = _fork_workers(total - 1)
     blas, forked = _openblas(), _forked
     blas_threads = [get() for get, _ in blas]
     try:
         for _, put in blas:
             put(1)
         if workers == 1:
-            return [fn(ranges[0])]
+            return [fn(range(total))]
+        _forked = True  # the workers inherit this and the one BLAS thread
+        start = time.perf_counter()
+        first = fn(range(1))
+        if (time.perf_counter() - start) * (total - 1) < _FORK_MIN_SECONDS:
+            return [first, fn(range(1, total))]
+        edges = [1 + (total - 1) * k // workers for k in range(workers + 1)]
+        ranges = [range(a, b) for a, b in zip(edges, edges[1:])]
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        _forked = True  # the workers inherit this and the one BLAS thread
         with ProcessPoolExecutor(workers - 1, multiprocessing.get_context("fork")) as pool:
             futures = [pool.submit(fn, r) for r in ranges[1:]]
-            first = fn(ranges[0])
-            return [first, *(f.result() for f in futures)]
+            mine = fn(ranges[0])
+            return [first, mine, *(f.result() for f in futures)]
     finally:
         _forked = forked
         for (_, put), threads in zip(blas, blas_threads):

@@ -21,7 +21,7 @@ import numpy as np
 from . import bandwidth, distfunc, estimator, geometry, inference, simulate, topology
 from .bandwidth import BandwidthSelector, SelectorMethod
 from .estimator import DensityModel, Sample
-from .kernels import KernelFamily, KernelSpec
+from .kernels import KernelSpec
 
 SCHEMA = 1
 
@@ -140,10 +140,6 @@ def _ingest_rows(path: str, group_col: str | None):
     return groups
 
 
-def _kernel(args, dim: int) -> KernelSpec:
-    return KernelSpec(KernelFamily(args.kernel), dim)
-
-
 def _parse_lscv_grid(spec: str) -> np.ndarray:
     """The grid of ``lo:hi:count``; ``BandwidthSelector`` refuses one that is
     empty, not finite or not positive (nan or inf from geomspace, unwarned)."""
@@ -191,7 +187,7 @@ def _check_dimension(command: str, sample: Sample):
 def _model(args) -> DensityModel:
     sample = ingest(args.input)
     _check_dimension(args.command, sample)
-    kernel = _kernel(args, sample.dim)
+    kernel = KernelSpec(args.kernel, sample.dim)
     h = select_bandwidth(args, sample, kernel)
     return DensityModel(sample, kernel, h)
 
@@ -268,7 +264,7 @@ def cmd_density(args):
 
 def cmd_bandwidth(args):
     sample = ingest(args.input)
-    kernel = _kernel(args, sample.dim)
+    kernel = KernelSpec(args.kernel, sample.dim)
     h = select_bandwidth(args, sample, kernel)
     _write_json(args.output, {"schema": SCHEMA, "bandwidth": h,
                               "method": args.bandwidth_method})
@@ -378,7 +374,7 @@ def cmd_roc(args):
     groups = ingest(args.input, group_col=args.group_col)
     (lab_h, healthy), (lab_d, diseased) = sorted(groups.items())
     _check_dimension(args.command, healthy)  # both groups share the columns
-    kernel = _kernel(args, 1)
+    kernel = KernelSpec(args.kernel, 1)
     h_f = select_bandwidth(args, healthy, kernel)
     h_g = select_bandwidth(args, diseased, kernel)
     t_grid = distfunc.default_t_grid(args.grid)
@@ -413,102 +409,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def output(p, grid=True):
-        """--output and, for a subcommand that evaluates on a grid, --grid."""
-        if grid:
-            p.add_argument("--grid", type=int, default=256,
-                           help="grid resolution per dimension")
-        p.add_argument("--output", default=None, help="output file path")
+    # A flag that several subcommands take is declared once, on a parent.
+    estimate = argparse.ArgumentParser(add_help=False)  # estimation from --input
+    estimate.add_argument("--input", required=True, help="input CSV path")
+    estimate.add_argument("--kernel", choices=["gaussian", "spherical"],
+                          default="gaussian")
+    estimate.add_argument("--bandwidth-method", choices=["rot", "lscv", "plugin",
+                                                         "fixed"], default="rot")
+    estimate.add_argument("--bandwidth", type=float, default=None,
+                          help="fixed bandwidth (with --bandwidth-method fixed)")
+    estimate.add_argument("--lscv-grid", default=None, metavar="LO:HI:COUNT",
+                          help="LSCV candidates (with --bandwidth-method lscv)")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=int, default=256, help="grid resolution per dimension")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, help="output file path")
+    bootstrap = argparse.ArgumentParser(add_help=False)
+    bootstrap.add_argument("--alpha", type=float, default=0.05)
+    bootstrap.add_argument("--boot", type=int, default=None)
+    bootstrap.add_argument("--seed", type=int, default=None)
 
-    def common(p, grid=True):
-        """The flags of a subcommand that estimates from --input."""
-        p.add_argument("--input", required=True, help="input CSV path")
-        p.add_argument("--kernel", choices=["gaussian", "spherical"],
-                       default="gaussian")
-        p.add_argument("--bandwidth-method", choices=["rot", "lscv", "plugin",
-                                                      "fixed"], default="rot")
-        p.add_argument("--bandwidth", type=float, default=None,
-                       help="fixed bandwidth (with --bandwidth-method fixed)")
-        p.add_argument("--lscv-grid", default=None, metavar="LO:HI:COUNT",
-                       help="LSCV candidates (with --bandwidth-method lscv)")
-        output(p, grid)
+    on_grid = [estimate, grid, output]
+    resampled = [*on_grid, bootstrap]
+    p = {}
+    for name, func, parents, text in (
+            ("density", cmd_density, on_grid, "evaluate the KDE on a grid"),
+            ("bandwidth", cmd_bandwidth, [estimate, output], "select a bandwidth"),
+            ("ci", cmd_ci, resampled, "pointwise confidence intervals"),
+            ("band", cmd_band, resampled, "simultaneous confidence band"),
+            ("modes", cmd_modes, [estimate, output], "local modes by mean shift"),
+            ("ridge", cmd_ridge, [estimate, output], "density ridge points by SCMS"),
+            ("levelset", cmd_levelset, on_grid, "superlevel set of the KDE grid"),
+            ("morse", cmd_morse, on_grid, "Morse-Smale partition of the KDE grid"),
+            ("tree", cmd_tree, on_grid, "cluster tree of the KDE grid"),
+            ("persist", cmd_persist, on_grid, "0-dim persistence diagram"),
+            ("cdf", cmd_cdf, on_grid, "smoothed CDF"),
+            ("roc", cmd_roc, resampled,
+             "smoothed ROC curve (two-sample); with --seed, its bootstrap band"),
+            ("simulate", cmd_simulate, [grid, output, bootstrap],
+             "Monte Carlo coverage study")):
+        p[name] = sub.add_parser(name, parents=parents, help=text)
+        p[name].set_defaults(func=func)
 
-    p = sub.add_parser("density", help="evaluate the KDE on a grid")
-    common(p)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("bandwidth", help="select a bandwidth")
-    common(p, grid=False)
-    p.set_defaults(func=cmd_bandwidth)
-
-    p = sub.add_parser("ci", help="pointwise confidence intervals")
-    common(p)
-    p.add_argument("--method", choices=["plugin", "boot-plugin", "boot"],
-                   default="plugin")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--boot", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_ci)
-
-    p = sub.add_parser("band", help="simultaneous confidence band")
-    common(p)
-    p.add_argument("--method", choices=["evt", "boot", "debias"], default="boot")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--boot", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_band)
-
-    for name, fn in (("modes", cmd_modes), ("ridge", cmd_ridge)):
-        p = sub.add_parser(name)
-        common(p, grid=False)
-        p.add_argument("--tol", type=float, default=1e-7)
-        p.add_argument("--max-iter", type=int, default=500)
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("levelset", help="superlevel set of the KDE grid")
-    common(p)
-    p.add_argument("--lambda", dest="level", type=float, default=None)
-    p.set_defaults(func=cmd_levelset)
-
-    p = sub.add_parser("morse", help="Morse-Smale partition of the KDE grid")
-    common(p)
-    p.set_defaults(func=cmd_morse)
-
-    p = sub.add_parser("tree", help="cluster tree of the KDE grid")
-    common(p)
-    p.set_defaults(func=cmd_tree)
-
-    p = sub.add_parser("persist", help="0-dim persistence diagram")
-    common(p)
-    p.set_defaults(func=cmd_persist)
-
-    p = sub.add_parser("cdf", help="smoothed CDF")
-    common(p)
-    p.set_defaults(func=cmd_cdf)
-
-    p = sub.add_parser("roc", help="smoothed ROC curve (two-sample)")
-    common(p)
-    p.add_argument("--group-col", default=None)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--boot", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None,
-                   help="enables the bootstrap band")
-    p.set_defaults(func=cmd_roc)
-
-    p = sub.add_parser("simulate", help="Monte Carlo coverage study")
-    output(p)
-    p.add_argument("--truth", default="normal",
-                   help="'normal' or 'mixture:w,mu1,mu2,sd1,sd2'")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--method", choices=list(simulate.METHODS),
-                   default="band-bootstrap")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--boot", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_simulate)
-
+    # The flags of one subcommand each (--method takes different choices).
+    p["density"].add_argument("--format", choices=["csv", "json"], default="csv")
+    p["ci"].add_argument("--method", choices=["plugin", "boot-plugin", "boot"],
+                         default="plugin")
+    p["band"].add_argument("--method", choices=["evt", "boot", "debias"], default="boot")
+    for name in ("modes", "ridge"):
+        p[name].add_argument("--tol", type=float, default=1e-7)
+        p[name].add_argument("--max-iter", type=int, default=500)
+    p["levelset"].add_argument("--lambda", dest="level", type=float, default=None)
+    p["roc"].add_argument("--group-col", default=None)
+    p["simulate"].add_argument("--truth", default="normal",
+                               help="'normal' or 'mixture:w,mu1,mu2,sd1,sd2'")
+    p["simulate"].add_argument("--n", type=int, default=1000)
+    p["simulate"].add_argument("--method", choices=list(simulate.METHODS),
+                               default="band-bootstrap")
+    p["simulate"].add_argument("--trials", type=int, default=200)
     return parser
 
 

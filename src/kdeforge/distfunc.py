@@ -50,37 +50,37 @@ class SmoothedCDF:
         return float(data.min() - 10 * h), float(data.max() + 10 * h)
 
 
-def _cdf_terms(model: DensityModel, xs: np.ndarray) -> np.ndarray:
+def _cdf_terms(model: DensityModel, xs) -> np.ndarray:
     """(n, m) matrix of the integrated kernel at (xs_j - X_i) / h for m queries
-    xs, of shape (m,) or (m, 1), filled one block of sample rows at a time;
-    its mean over the sample is the smoothed CDF."""
-    return estimator._pairs(model, np.reshape(xs, (-1, 1)),
+    xs (read by ``estimator._query_matrix``), filled one block of sample rows
+    at a time; its mean over the sample is the smoothed CDF."""
+    x = estimator._query_matrix(model, xs)
+    return estimator._pairs(model, x,
                             lambda rows, u: np.copyto(u[0], integrated(model.kernel, u[0])),
-                            np.empty((model.n, xs.size)))
+                            np.empty((model.n, x.shape[0])))
 
 
-def _cdf_values(model: DensityModel, xs: np.ndarray) -> np.ndarray:
+def _cdf_values(model: DensityModel, xs) -> np.ndarray:
     """The smoothed CDF at xs, ``_cdf_terms(model, xs).mean(axis=0)`` bit for
     bit (see ``estimator._pairs``) without building the (n, m) matrix."""
-    out = np.empty(xs.size)
+    x = estimator._query_matrix(model, xs)
+    out = np.empty(x.shape[0])
 
     def fill(rows, u):
         out[rows] = integrated(model.kernel, u[0]).mean(axis=0)
 
-    estimator._pairs(model, np.reshape(xs, (-1, 1)), fill)
+    estimator._pairs(model, x, fill)
     return out
 
 
 def cdf_at(scdf: SmoothedCDF, x) -> float:
-    """Smoothed CDF value at a finite point."""
-    x = estimator._query_matrix(scdf.model, np.reshape(x, (-1, 1)))
-    return float(_cdf_values(scdf.model, x[:1])[0])
+    """Smoothed CDF value at one finite point."""
+    return float(_cdf_values(scdf.model, estimator._query_point(scdf.model, x))[0])
 
 
 def cdf_many(scdf: SmoothedCDF, xs) -> np.ndarray:
-    """Vectorized smoothed CDF over a 1-d array of finite query points."""
-    return _cdf_values(scdf.model,
-                       estimator._query_matrix(scdf.model, np.reshape(xs, (-1, 1))))
+    """Vectorized smoothed CDF at finite query points, (m,) or (m, 1)."""
+    return _cdf_values(scdf.model, xs)
 
 
 def _invert(model: DensityModel, xs: np.ndarray, f: np.ndarray,
@@ -97,7 +97,7 @@ def _invert(model: DensityModel, xs: np.ndarray, f: np.ndarray,
         a[todo] = np.where(r <= 0, xt, a[todo])
         b[todo] = np.where(r >= 0, xt, b[todo])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            new = xt - r / estimator.density(model, xt[:, None])  # F_hat' = p_hat
+            new = xt - r / estimator.density(model, xt)  # F_hat' = p_hat
         newton = (a[todo] < new) & (new < b[todo]) | (np.abs(new - xt) < _XTOL)
         x[todo] = np.where(newton, new, 0.5 * (a[todo] + b[todo]))
         todo = todo[np.abs(x[todo] - xt) >= _XTOL]

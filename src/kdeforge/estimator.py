@@ -124,15 +124,25 @@ class EvalGrid:
 
 
 def _query_matrix(model: DensityModel, x) -> np.ndarray:
+    """The (m, d) matrix of the query points ``x``, the one reading of every
+    query array: a 1-D array is m points on a 1-d model, one point otherwise."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x[None]
-    if x.ndim == 1:
-        x = x[None, :]
+    if x.ndim > 2:
+        raise ValueError(f"query array has {x.ndim} dimensions, more than 2")
+    if x.ndim < 2:
+        x = x.reshape(-1, 1) if model.dim == 1 else x.reshape(1, -1)
     if x.shape[1] != model.dim:
         raise ValueError(f"query dimension {x.shape[1]} != model dim {model.dim}")
     if not np.isfinite(x).all():
         raise ValueError("query point must be finite")
+    return x
+
+
+def _query_point(model: DensityModel, x) -> np.ndarray:
+    """The (1, d) matrix of a single query point; several points are refused."""
+    x = _query_matrix(model, x)
+    if x.shape[0] != 1:
+        raise ValueError(f"expected one query point, got {x.shape[0]}")
     return x
 
 
@@ -250,7 +260,7 @@ def density(model: DensityModel, queries) -> np.ndarray:
 
 def density_at(model: DensityModel, x) -> float:
     """KDE value at a single point."""
-    return float(density(model, x)[0])
+    return float(density(model, _query_point(model, x))[0])
 
 
 def _require_gaussian(model: DensityModel, what: str):
@@ -278,7 +288,7 @@ def derivative_at(model: DensityModel, x, beta) -> float:
 
 def gradient_at(model: DensityModel, x) -> np.ndarray:
     """Gradient of the KDE at a single point."""
-    return gradient(model, x)[0]
+    return gradient(model, _query_point(model, x))[0]
 
 
 def gradient(model: DensityModel, queries) -> np.ndarray:
@@ -291,7 +301,7 @@ def gradient(model: DensityModel, queries) -> np.ndarray:
 def hessian_at(model: DensityModel, x) -> np.ndarray:
     """Hessian matrix of the KDE at a single point (exactly symmetric)."""
     _require_gaussian(model, "a density derivative")
-    s0, _, s2 = _kernel_sums(model, _query_matrix(model, x)[:1], 2)
+    s0, _, s2 = _kernel_sums(model, _query_point(model, x), 2)
     return _hessians(model, s0, s2)[0]
 
 

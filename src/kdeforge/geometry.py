@@ -18,8 +18,8 @@ iteration count.  ``find_modes`` is the one code path from starts to modes
 its grid's ascent sinks through it.
 
 Convergence tolerances are artifact choices: the SCMS gradient tolerance
-defaults to 1e-6 * (largest KDE value at the sample points) / h and the mode
-merge radius to h / 2, keeping both thresholds scale-aware.
+is 1e-6 * (largest KDE value at the sample points) / h and the mode merge
+radius defaults to h / 2, keeping both thresholds scale-aware.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from . import estimator
 from .estimator import DensityModel, EvalGrid
 
 EXTERIOR = -1  # shared label for flows that leave the grid or reach no extremum
+# SCMS drops a start whose leading Hessian eigengap falls below this.
+_EIGEN_GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,10 @@ def _ascend(model: DensityModel, x, step, tol: float, max_iter: int):
     and a mask of those rows.  A row without a shift is dropped (mean shift:
     every kernel weight underflows; SCMS: the eigengap collapses); a row
     whose shift is shorter than ``tol`` has converged.  Either leaves the
-    active set.  Returns (end points, converged, dropped, iterations) per row.
+    active set.  ``x`` is an (m, d) query matrix (``estimator._query_matrix``).
+    Returns (end points, converged, dropped, iterations) per row.
     """
-    x = estimator._query_matrix(model, x).copy()
+    x = x.copy()
     active = np.ones(x.shape[0], dtype=bool)
     dropped = np.zeros(x.shape[0], dtype=bool)
     iters = np.zeros(x.shape[0], dtype=int)
@@ -132,9 +135,8 @@ def mean_shift(model: DensityModel, start, tol: float = 1e-8,
     so does a start so far from the data that every kernel weight underflows.
     """
     estimator._require_gaussian(model, "mean shift")
-    start = np.atleast_1d(np.asarray(start, dtype=float))
-    pts, conv, _, iters = _ascend(model, start[None, :], _mean_shift_step, tol,
-                                  max_iter)
+    pts, conv, _, iters = _ascend(model, estimator._query_point(model, start),
+                                  _mean_shift_step, tol, max_iter)
     return pts[0], bool(conv[0]), int(iters[0])
 
 
@@ -169,9 +171,7 @@ def find_modes(model: DensityModel, starts=None, tol: float = 1e-8,
     (largest Hessian eigenvalue < 0) are discarded together with their basins.
     """
     estimator._require_gaussian(model, "mean shift")
-    if starts is None:
-        starts = model.sample.data
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    starts = estimator._query_matrix(model, model.sample.data if starts is None else starts)
     if starts.size == 0:
         raise ValueError("starts must be nonempty")
     if merge_radius is None:
@@ -202,30 +202,23 @@ def level_set(grid: EvalGrid, level: float) -> LevelSet:
 
 
 def scms(model: DensityModel, starts=None, tol: float = 1e-7,
-         max_iter: int = 500, max_starts: int = 2000,
-         eigen_gap_tol: float = 1e-10,
-         grad_tol: float | None = None) -> RidgeSet:
+         max_iter: int = 500, max_starts: int = 2000) -> RidgeSet:
     """Subspace-constrained mean shift toward density ridges.
 
     Each iterate projects the mean-shift step onto the span of the trailing
     d-1 Hessian eigenvectors; a converged point x satisfies
     ||V V^T grad p_hat(x)|| <= grad_tol with lambda_2(x) < 0.  Points whose
-    leading Hessian eigengap collapses below ``eigen_gap_tol`` are dropped.
+    leading Hessian eigengap collapses below _EIGEN_GAP_TOL are dropped.
     """
     if model.dim < 2:
         raise ValueError("SCMS requires d >= 2")
     estimator._require_gaussian(model, "SCMS")
-    if starts is None:
-        starts = model.sample.data
-        if starts.shape[0] > max_starts:
-            stride = int(np.ceil(starts.shape[0] / max_starts))
-            starts = starts[::stride]
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    if grad_tol is None:  # scale-aware default, see the module docstring
-        grad_tol = (1e-6 * estimator.density(model, model.sample.data).max()
-                    / model.bandwidth)
+    if starts is None:  # at most max_starts sample points, at an even stride
+        starts = model.sample.data[::-(-model.n // max_starts)]
+    # scale-aware, see the module docstring
+    grad_tol = 1e-6 * estimator.density(model, model.sample.data).max() / model.bandwidth
     x, converged, degenerate, _ = _ascend(
-        model, starts, lambda m, y: _scms_step(m, y, eigen_gap_tol), tol, max_iter)
+        model, estimator._query_matrix(model, starts), _scms_step, tol, max_iter)
 
     pts = x[converged]
     s0, s1, s2 = estimator._kernel_sums(model, pts, 2)
@@ -243,13 +236,13 @@ def scms(model: DensityModel, starts=None, tol: float = 1e-7,
     )
 
 
-def _scms_step(model: DensityModel, x: np.ndarray, eigen_gap_tol: float):
+def _scms_step(model: DensityModel, x: np.ndarray):
     """The mean-shift step projected onto the span of the trailing d - 1
     Hessian eigenvectors, undefined where the leading eigengap is below
-    ``eigen_gap_tol``."""
+    _EIGEN_GAP_TOL."""
     s0, s1, s2 = estimator._kernel_sums(model, x, 2)
     eigvals, eigvecs = np.linalg.eigh(estimator._hessians(model, s0, s2))
-    ok = ~(eigvals[:, -1] - eigvals[:, -2] < eigen_gap_tol)
+    ok = ~(eigvals[:, -1] - eigvals[:, -2] < _EIGEN_GAP_TOL)
     shift = -model.bandwidth * s1[ok] / s0[ok, None]
     return _project(eigvecs[ok, :, :-1], shift), ok
 

@@ -356,17 +356,11 @@ def _sup_quantile(boot: np.ndarray, center: np.ndarray, alpha: float) -> float:
     return empirical_quantile(np.max(np.abs(boot - center), axis=1), alpha)
 
 
-def _as_grid(model: DensityModel, grid) -> np.ndarray:
-    """The (m, d) evaluation grid; a 1-D array is m points, one per row."""
-    grid = np.asarray(grid, dtype=float)
-    return estimator._query_matrix(model, grid[:, None] if grid.ndim == 1 else grid)
-
-
 def ci_plugin(model: DensityModel, grid, alpha: float) -> IntervalResult:
     """Plug-in normal interval p_hat(x) +/- z sqrt(mu_k p_hat(x) / (n h^d))."""
     from scipy.special import ndtri
     _check_alpha(alpha)
-    grid = _as_grid(model, grid)
+    grid = estimator._query_matrix(model, grid)
     center = estimator.density(model, grid)
     mu_k = kernels.constants(model.kernel)["mu_k"]
     z = ndtri(1.0 - alpha / 2.0)
@@ -379,7 +373,7 @@ def ci_plugin(model: DensityModel, grid, alpha: float) -> IntervalResult:
 
 def _plain_bootstrap(model: DensityModel, grid, plan: BootstrapPlan):
     """The grid, p_hat and the (B, m) bootstrap KDE values from one kernel matrix."""
-    grid = _as_grid(model, grid)
+    grid = estimator._query_matrix(model, grid)
     phi = estimator.kernel_value_matrix(model, grid)
     scale = model.n * model.bandwidth**model.dim
     (boot,) = _replicate_products(plan, [phi])
@@ -424,8 +418,8 @@ def ci_bootstrap(model: DensityModel, grid, alpha: float,
 
 
 def evt_quantile(alpha: float) -> float:
-    """Quantile constant E of the limiting double-exponential law,
-    E = -log(-log(alpha) / 2)."""
+    """The alpha-quantile E = -log(-log(alpha) / 2) of the limiting
+    double-exponential law exp(-2 exp(-t))."""
     _check_alpha(alpha)
     return -math.log(-math.log(alpha) / 2.0)
 
@@ -433,10 +427,12 @@ def evt_quantile(alpha: float) -> float:
 def band_plugin_evt(model: DensityModel, grid, alpha: float) -> BandResult:
     """Extreme-value plug-in band (d = 1, Gaussian kernel, h < 1).
 
-    Uses the leading-order centering d_n = sqrt(-2 log h); the exact
-    second-order centering constant is not implemented.  Convergence to the
-    extreme-value limit is very slow, so the result carries a warning tag and
-    no coverage guarantee at practical n.
+    The half-width is sqrt(mu_k p_hat(x) / (n h)) (d_n + E / d_n), with the
+    leading-order centering d_n = sqrt(-2 log h) and E the (1 - alpha)-quantile
+    of the limit law (``evt_quantile``); the exact second-order centering
+    constant is not implemented.  Convergence to the extreme-value limit is
+    very slow, so the result carries a warning tag and no coverage guarantee
+    at practical n.
     """
     _check_alpha(alpha)
     if model.dim != 1:
@@ -445,11 +441,11 @@ def band_plugin_evt(model: DensityModel, grid, alpha: float) -> BandResult:
     h = model.bandwidth
     if h >= 1.0:
         raise ValueError("extreme-value band requires h < 1")
-    grid = _as_grid(model, grid)
+    grid = estimator._query_matrix(model, grid)
     center = estimator.density(model, grid)
     mu_k = kernels.constants(model.kernel)["mu_k"]
     root = math.sqrt(-2.0 * math.log(h))
-    factor = root + evt_quantile(alpha) / root
+    factor = root + evt_quantile(1.0 - alpha) / root
     hw = np.sqrt(center * mu_k / (model.n * h)) * factor
     return BandResult(
         grid=grid, center=center, lower=center - hw, upper=center + hw,
@@ -501,18 +497,19 @@ class DebiasedDensity:
         return block
 
     def correction_matrix(self, grid: np.ndarray) -> np.ndarray:
-        """(n, m) per-observation contributions to p_tilde on the grid (a 1-D
-        array is m points), K(u) (1 - sigma_k2 (||u||^2 - d) / 2) / (n h^d) at u = (x_q - X_i) / h,
-        filled in place from one kernel pass over blocks of sample rows."""
-        x = _as_grid(self.model, grid)
+        """(n, m) per-observation contributions to p_tilde on the grid (read
+        by ``estimator._query_matrix``), K(u) (1 - sigma_k2 (||u||^2 - d) / 2)
+        / (n h^d) at u = (x_q - X_i) / h, filled in place from one kernel pass
+        over blocks of sample rows."""
+        x = estimator._query_matrix(self.model, grid)
         return estimator._pairs(self.model, x, lambda rows, u: self._contributions(u),
                                 np.empty((self.model.n, x.shape[0])))
 
     def evaluate(self, queries) -> np.ndarray:
-        """p_tilde at the queries (a 1-D array is m points): the column sums of
-        their ``correction_matrix`` bit for bit (see ``estimator._pairs``),
-        without building it."""
-        x = _as_grid(self.model, queries)
+        """p_tilde at the queries: the column sums of their
+        ``correction_matrix`` bit for bit (see ``estimator._pairs``), without
+        building it."""
+        x = estimator._query_matrix(self.model, queries)
         out = np.empty(x.shape[0])
 
         def fill(rows, u):
@@ -522,7 +519,7 @@ class DebiasedDensity:
         return out
 
     def __call__(self, x) -> float:
-        return float(self.evaluate(x)[0])
+        return float(self.evaluate(estimator._query_point(self.model, x))[0])
 
 
 def band_debiased_bootstrap(model: DensityModel, grid, alpha: float,
@@ -534,7 +531,7 @@ def band_debiased_bootstrap(model: DensityModel, grid, alpha: float,
     curve.  Targets the true density; generally wider than ``band_bootstrap``.
     """
     _check_bootstrap(alpha, plan)
-    grid = _as_grid(model, grid)
+    grid = estimator._query_matrix(model, grid)
     contrib = DebiasedDensity(model).correction_matrix(grid)
     center = contrib.sum(axis=0)
     (boot,) = _replicate_products(plan, [contrib])

@@ -14,12 +14,13 @@ Coverage is evaluated on the grid restricted to the truth's central region
 [mu - 3 s, mu + 3 s] to avoid tail artifacts; the restriction is recorded in
 the report metadata.
 
-Trial t draws everything from default_rng([seed, 10 000 + t]).  The trials
-run in contiguous ranges, one per CPU of the affinity mask, all but the first
-in forked worker processes (``blocks.run_forked``), and their outcomes are
-joined in trial order, so the report is the same bytes on any number of
-CPUs.  A bad configuration is refused before any trial runs, so that no
-configuration error comes from a worker.
+Trial t draws everything from default_rng([seed, 10 000 + t]).  Trial 0
+runs first, in the caller; unless the rest would take only milliseconds,
+the trials after it run in contiguous ranges, one per CPU of the affinity
+mask, all but the first in forked worker processes (``blocks.run_forked``).
+Outcomes are joined in trial order, so the report is the same bytes on any
+number of CPUs.  A bad configuration is refused before any trial runs, so
+that no configuration error comes from a worker.
 """
 
 from __future__ import annotations

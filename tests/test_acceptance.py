@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines as they complete.
 """
 
+import functools
 import json
 import math
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from kdeforge import cli, distfunc, estimator, geometry, inference, simulate, topology
+from kdeforge import blocks, cli, distfunc, estimator, geometry, inference, simulate, topology
 from kdeforge.bandwidth import amise_optimal_h, rule_of_thumb
 from kdeforge.estimator import DensityModel, Sample
 from kdeforge.inference import BootstrapPlan
@@ -89,27 +90,40 @@ def test_criterion_04_band_bootstrap_coverage():
             f"coverage={report.coverage:.3f} (want >= 0.92)")
 
 
+def _trial_outcomes(trial, trials: range) -> list:
+    """[trial(t) for t in trials], for ``blocks.run_forked``."""
+    return [trial(t) for t in trials]
+
+
+def _run_trials(trial, count: int) -> np.ndarray:
+    """trial(t) for t < count, one row each, the trials on every CPU."""
+    parts = blocks.run_forked(functools.partial(_trial_outcomes, trial), count)
+    return np.array([outcome for part in parts for outcome in part])
+
+
+def _paired_band_trial(t: int) -> tuple:
+    """Trial t of the paired band study: whether the plain and the debiased
+    band cover the true density, and whether the debiased one is wider."""
+    n, B = 2000, 500
+    grid = np.linspace(-3.0, 3.0, 256)
+    truth = norm.pdf(grid)
+    rng = np.random.default_rng([1005, t])
+    sample = Sample(rng.normal(size=n))
+    h = rule_of_thumb(sample)
+    plan = BootstrapPlan(B, int(rng.integers(2**63)))
+    model = DensityModel(sample, GAUSS1, h)
+    plain = inference.band_bootstrap(model, grid, 0.05, plan)
+    deb = inference.band_debiased_bootstrap(model, grid, 0.05, plan)
+    return (bool(np.all((plain.lower <= truth) & (truth <= plain.upper))),
+            bool(np.all((deb.lower <= truth) & (truth <= deb.upper))),
+            deb.halfwidth > plain.halfwidth)
+
+
 @pytest.fixture(scope="module")
 def paired_band_study():
     """Plain vs debiased bootstrap bands on shared samples and shared plans,
     both judged against the TRUE standard normal density."""
-    n, trials, B = 2000, 200, 500
-    grid = np.linspace(-3.0, 3.0, 256)
-    truth = norm.pdf(grid)
-    plain_hits = np.empty(trials, dtype=bool)
-    debias_hits = np.empty(trials, dtype=bool)
-    wider = np.empty(trials, dtype=bool)
-    for t in range(trials):
-        rng = np.random.default_rng([1005, t])
-        sample = Sample(rng.normal(size=n))
-        h = rule_of_thumb(sample)
-        plan = BootstrapPlan(B, int(rng.integers(2**63)))
-        model = DensityModel(sample, GAUSS1, h)
-        plain = inference.band_bootstrap(model, grid, 0.05, plan)
-        deb = inference.band_debiased_bootstrap(model, grid, 0.05, plan)
-        plain_hits[t] = np.all((plain.lower <= truth) & (truth <= plain.upper))
-        debias_hits[t] = np.all((deb.lower <= truth) & (truth <= deb.upper))
-        wider[t] = deb.halfwidth > plain.halfwidth
+    plain_hits, debias_hits, wider = _run_trials(_paired_band_trial, 200).T
     return plain_hits.mean(), debias_hits.mean(), wider.mean()
 
 
@@ -253,6 +267,20 @@ def test_criterion_10_smoothed_cdf():
             f"sup|F-ECDF|={sup_ecdf:.4f} (want < 0.02)")
 
 
+def _roc_band_trial(t: int) -> bool:
+    """Trial t of the identity case: whether the ROC band of two samples of
+    one distribution covers the diagonal."""
+    n_band = 500
+    trng = np.random.default_rng([1011, t])
+    g1 = Sample(trng.normal(size=n_band))
+    g2 = Sample(trng.normal(size=n_band))
+    hb = n_band ** (-0.2)
+    plan = BootstrapPlan(200, int(trng.integers(2**63)))
+    band = distfunc.roc_band(g1, g2, GAUSS1, hb, hb, 0.05, plan)
+    diag = band.grid[:, 0]
+    return bool(np.all((band.lower <= diag) & (diag <= band.upper)))
+
+
 def test_criterion_11_roc_identity_and_value():
     rng = np.random.default_rng(1011)
     # identity: two samples from the same distribution
@@ -270,18 +298,8 @@ def test_criterion_11_roc_identity_and_value():
                              t_grid=np.array([0.5])).values[0]
 
     # identity-case band covers the diagonal
-    n_band, trials = 500, 100
-    hits = 0
-    for t in range(trials):
-        trng = np.random.default_rng([1011, t])
-        g1 = Sample(trng.normal(size=n_band))
-        g2 = Sample(trng.normal(size=n_band))
-        hb = n_band ** (-0.2)
-        plan = BootstrapPlan(200, int(trng.integers(2**63)))
-        band = distfunc.roc_band(g1, g2, GAUSS1, hb, hb, 0.05, plan)
-        diag = band.grid[:, 0]
-        hits += bool(np.all((band.lower <= diag) & (diag <= band.upper)))
-    band_cov = hits / trials
+    trials = 100
+    band_cov = int(_run_trials(_roc_band_trial, trials).sum()) / trials
 
     ok = sup_id < 0.03 and abs(mid - 0.8413) <= 0.05 and band_cov >= 0.90
     _report(11, "ROC identity, population value, band coverage", ok,

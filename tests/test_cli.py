@@ -758,6 +758,69 @@ def test_readme_cli_lines_parse():
         assert parser.parse_args(argv).command == argv[0]
 
 
+ESTIMATED = dict(input="x.csv", kernel="gaussian", bandwidth_method="rot",
+                 bandwidth=None, lscv_grid=None, output=None)
+BOOTSTRAPPED = dict(alpha=0.05, boot=None, seed=None)
+NAMESPACES = [  # (argv, every attribute of its Namespace, defaults included)
+    (["density", "--input", "x.csv", "--format", "json", "--grid", "16"],
+     dict(ESTIMATED, grid=16, format="json", func=cli.cmd_density)),
+    (["bandwidth", "--input", "x.csv", "--bandwidth-method", "lscv",
+      "--lscv-grid", "0.1:1:5", "--output", "o.json"],
+     dict(ESTIMATED, bandwidth_method="lscv", lscv_grid="0.1:1:5", output="o.json",
+          func=cli.cmd_bandwidth)),
+    (["ci", "--input", "x.csv", "--method", "boot", "--boot", "50", "--seed", "3",
+      "--alpha", "0.1"],
+     dict(ESTIMATED, grid=256, method="boot", alpha=0.1, boot=50, seed=3,
+          func=cli.cmd_ci)),
+    (["band", "--input", "x.csv", "--kernel", "spherical"],
+     dict(ESTIMATED | BOOTSTRAPPED, kernel="spherical", grid=256, method="boot",
+          func=cli.cmd_band)),
+    (["modes", "--input", "x.csv", "--tol", "1e-6", "--max-iter", "9"],
+     dict(ESTIMATED, tol=1e-6, max_iter=9, func=cli.cmd_modes)),
+    (["ridge", "--input", "x.csv", "--bandwidth-method", "fixed", "--bandwidth", "0.5"],
+     dict(ESTIMATED, bandwidth_method="fixed", bandwidth=0.5, tol=1e-7, max_iter=500,
+          func=cli.cmd_ridge)),
+    (["levelset", "--input", "x.csv", "--lambda", "0.1"],
+     dict(ESTIMATED, grid=256, level=0.1, func=cli.cmd_levelset)),
+    (["morse", "--input", "x.csv"], dict(ESTIMATED, grid=256, func=cli.cmd_morse)),
+    (["tree", "--input", "x.csv"], dict(ESTIMATED, grid=256, func=cli.cmd_tree)),
+    (["persist", "--input", "x.csv"], dict(ESTIMATED, grid=256, func=cli.cmd_persist)),
+    (["cdf", "--input", "x.csv", "--grid", "8"], dict(ESTIMATED, grid=8, func=cli.cmd_cdf)),
+    (["roc", "--input", "x.csv", "--group-col", "g", "--seed", "1"],
+     dict(ESTIMATED | BOOTSTRAPPED, grid=256, group_col="g", seed=1, func=cli.cmd_roc)),
+    (["simulate", "--seed", "1", "--truth", "mixture:0.5,0,1,1,1", "--n", "100"],
+     dict(BOOTSTRAPPED, grid=256, output=None, truth="mixture:0.5,0,1,1,1", n=100,
+          method="band-bootstrap", trials=200, seed=1, func=cli.cmd_simulate)),
+]
+
+
+@pytest.mark.parametrize("argv,expected", NAMESPACES, ids=[a[0] for a, _ in NAMESPACES])
+def test_parsed_namespace_is_pinned(argv, expected):
+    assert vars(cli.build_parser().parse_args(argv)) == dict(expected, command=argv[0])
+
+
+def test_namespace_table_covers_every_subcommand():
+    assert [argv[0] for argv, _ in NAMESPACES] == list(subparsers())
+
+
+def test_each_flag_is_declared_once(monkeypatch):
+    calls = []
+    real = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    cli.build_parser()
+    assert len(calls) <= 40  # the flags, and -h on the parser and each subparser
+    source = Path(cli.__file__).read_text()
+    for flag in set().union(*PARSER_SURFACE.values()) - {"--method"}:
+        assert source.count(f'add_argument("{flag}"') == 1, flag
+    # --method takes different choices in ci, band and simulate
+    assert source.count('add_argument("--method"') == 3
+
+
 # --- fuzz: every input ends in exit 0, 2 or 3 ---
 
 
@@ -830,7 +893,8 @@ def test_cli_edge_inputs_exit_cleanly(fuzz_inputs, tmp_path_factory, command, da
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy",
-                                    "numpy.random"])
+                                    "numpy.random", "multiprocessing",
+                                    "concurrent.futures"])
 def test_cli_import_leaves_out_scipy_stats(module):
     # a fresh interpreter, since this one may already have the module loaded
     src = os.path.dirname(os.path.dirname(cli.__file__))

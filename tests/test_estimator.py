@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from kdeforge import blocks, distfunc, estimator, kernels
+from kdeforge import blocks, distfunc, estimator, geometry, inference, kernels
 from kdeforge.estimator import DensityModel, Sample
 from kdeforge.inference import DebiasedDensity
 from kdeforge.kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError
@@ -409,3 +409,106 @@ def test_factor_grid_memory_is_bounded(rng):
     assert grid.values.shape == (256 * 256,)
     # an (n, G^2) kernel block would take 100 000 * 256^2 * 8 B = 52 GB
     assert peak < 32 * 2**20
+
+
+# --- query points: one reader for every evaluation ---
+
+
+def _one_d_model(h=0.4):
+    return gauss_model(np.random.default_rng(21).normal(size=80), h)
+
+
+def _two_d_model():
+    return gauss_model(np.random.default_rng(22).normal(size=(60, 2)), 0.5)
+
+
+def _constructions():
+    plan = inference.BootstrapPlan(40, 9)
+    return {
+        "ci_plugin": lambda m, g: inference.ci_plugin(m, g, 0.1),
+        "ci_bootstrap_plugin": lambda m, g: inference.ci_bootstrap_plugin(m, g, 0.1, plan),
+        "ci_bootstrap": lambda m, g: inference.ci_bootstrap(m, g, 0.1, plan),
+        "band_plugin_evt": lambda m, g: inference.band_plugin_evt(m, g, 0.1),
+        "band_bootstrap": lambda m, g: inference.band_bootstrap(m, g, 0.1, plan),
+        "band_debiased_bootstrap":
+            lambda m, g: inference.band_debiased_bootstrap(m, g, 0.1, plan),
+    }
+
+
+def _features(model, queries):
+    """What each evaluation returns for ``queries``, as arrays."""
+    modes = geometry.find_modes(model, starts=queries)
+    return {
+        "density": estimator.density(model, queries),
+        "gradient": estimator.gradient(model, queries),
+        "kernel_value_matrix": estimator.kernel_value_matrix(model, queries),
+        "debiased": DebiasedDensity(model).evaluate(queries),
+        "modes": modes.modes, "assignments": modes.assignments,
+        "cdf_many": distfunc.cdf_many(distfunc.SmoothedCDF(model), queries),
+        **{name: np.stack([r.grid[:, 0], r.center, r.lower, r.upper])
+           for name, build in _constructions().items()
+           for r in [build(model, queries)]},
+    }
+
+
+def test_1d_array_is_m_points_on_a_1d_model():
+    model, xs = _one_d_model(), np.array([-1.3, -0.2, 0.05, 0.9, 2.2])
+    flat, column = _features(model, xs), _features(model, xs[:, None])
+    assert flat.keys() == column.keys()
+    for name in flat:
+        np.testing.assert_array_equal(flat[name], column[name], err_msg=name)
+    assert estimator.density(model, xs).shape == (5,)
+    assert estimator.density(model, 0.3).shape == (1,)  # a scalar is one point
+
+
+def test_1d_array_is_one_point_on_a_2d_model():
+    model, x = _two_d_model(), np.array([0.3, -0.4])
+    for fn in (estimator.density, estimator.gradient, estimator.kernel_value_matrix):
+        np.testing.assert_array_equal(fn(model, x), fn(model, x[None, :]))
+    np.testing.assert_array_equal(geometry.find_modes(model, starts=x).modes,
+                                  geometry.find_modes(model, starts=x[None, :]).modes)
+    assert inference.ci_plugin(model, x, 0.1).grid.shape == (1, 2)
+
+
+@pytest.mark.parametrize("queries,message", [
+    (np.zeros(3), "query dimension 3 != model dim 2"),
+    (np.zeros((4, 3)), "query dimension 3 != model dim 2"),
+    (np.zeros((2, 2, 2)), "query array has 3 dimensions, more than 2"),
+])
+def test_wrong_query_shapes_name_the_dimension(queries, message):
+    model = _two_d_model()
+    for call in (lambda: estimator.density(model, queries),
+                 lambda: estimator.gradient(model, queries),
+                 lambda: estimator.kernel_value_matrix(model, queries),
+                 lambda: geometry.find_modes(model, starts=queries),
+                 lambda: inference.ci_plugin(model, queries, 0.1)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_cdf_many_refuses_several_columns():
+    scdf = distfunc.SmoothedCDF(_one_d_model())
+    with pytest.raises(ValueError, match="query dimension 2 != model dim 1"):
+        distfunc.cdf_many(scdf, np.zeros((4, 2)))
+
+
+SINGLE_POINT = {
+    "density_at": estimator.density_at,
+    "gradient_at": estimator.gradient_at,
+    "hessian_at": estimator.hessian_at,
+    "derivative_at": lambda m, x: estimator.derivative_at(m, x, [2] + [0] * (m.dim - 1)),
+    "mean_shift": geometry.mean_shift,
+    "DebiasedDensity": lambda m, x: DebiasedDensity(m)(x),
+    "cdf_at": lambda m, x: distfunc.cdf_at(distfunc.SmoothedCDF(m), x),
+}
+
+
+@pytest.mark.parametrize("name,dim", [(name, 1) for name in SINGLE_POINT]
+                         + [(name, 2) for name in SINGLE_POINT if name != "cdf_at"])
+def test_single_point_functions_refuse_two_points(name, dim):
+    model = _one_d_model() if dim == 1 else _two_d_model()
+    one = [0.2] if dim == 1 else [0.2, -0.1]
+    two = [0.2, 0.5] if dim == 1 else [[0.2, -0.1], [0.5, 0.3]]
+    SINGLE_POINT[name](model, one)  # one point is read
+    with pytest.raises(ValueError, match="expected one query point, got 2"):
+        SINGLE_POINT[name](model, two)

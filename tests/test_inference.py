@@ -485,7 +485,7 @@ def test_band_evt_shape(rng):
     assert "slow-convergence" in band.warnings
     assert band.halfwidth is None
     root = math.sqrt(-2.0 * math.log(0.2))
-    factor = root + evt_quantile(0.05) / root
+    factor = root + evt_quantile(1 - 0.05) / root
     mu_k = 1.0 / (2.0 * math.sqrt(math.pi))
     hw = factor * np.sqrt(band.center * mu_k / (500 * 0.2))
     np.testing.assert_allclose(band.upper - band.center, hw, atol=1e-12)
@@ -504,11 +504,6 @@ def test_band_evt_preconditions(rng):
         band_plugin_evt(model2, [[0.0, 0.0]], 0.05)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the pinned extreme-value constant at alpha=0.05 is negative, so "
-    "the band factor stays below the pointwise z value at this h and n",
-)
 def test_band_evt_wider_than_pointwise(rng):
     model = model_of(rng.normal(size=1000), 0.2)
     grid = np.linspace(-2, 2, 101)

@@ -1,18 +1,21 @@
 """The coverage harness: its checks, and trials on any number of processes.
 
 ``simulate_coverage`` runs contiguous ranges of trials in forked workers
-(``blocks.run_forked``).  These tests check that the report does not depend
-on how many there are, that a worker's error reaches the caller, that no
-worker outlives a call, and that a bad configuration is refused before any
-trial runs.
+(``blocks.run_forked``) when the work is worth a fork.  These tests check
+that the report does not depend on how many there are, that a worker's error
+reaches the caller, that no worker outlives a call, that work of a few
+milliseconds stays inline, and that a bad configuration is refused before
+any trial runs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -53,20 +56,27 @@ def _assert_no_workers_left(threads):
     assert threading.active_count() == threads
 
 
+@pytest.fixture
+def always_fork(monkeypatch):
+    """Fork whatever trial 0's time: the studies here are small enough that
+    ``run_forked`` would otherwise run them inline."""
+    monkeypatch.setattr(blocks, "_FORK_MIN_SECONDS", 0.0)
+
+
 # --- the same report on any number of CPUs ---
 
 
 @pytest.mark.parametrize("trials", [1, 2, 5])
 @pytest.mark.parametrize("method", ["band-bootstrap", "band-debiased",
                                     "ci-bootstrap", "ci-plugin"])
-def test_report_is_the_same_on_any_number_of_cpus(monkeypatch, method, trials):
-    # 1 and 2 trials on 3 CPUs: fewer trials than workers; 5 on 2 or 3 CPUs:
-    # ranges of unequal size
+def test_report_is_the_same_on_any_number_of_cpus(monkeypatch, always_fork, method, trials):
+    # 1 and 2 trials: inline on any number of CPUs; 5 on 2 or 3 CPUs: trial 0
+    # on the caller, then ranges of unequal size
     first, *rest = on_each_worker_count(monkeypatch, lambda: _report(method, trials))
     assert all(r == first for r in rest)
 
 
-def test_trials_run_in_worker_processes(monkeypatch):
+def test_trials_run_in_worker_processes(monkeypatch, always_fork):
     # a construction that fails outside the caller shows that workers ran
     _fail_where(monkeypatch, "band-bootstrap", lambda pid, caller: pid != caller,
                 ValueError("ran in a worker"))
@@ -81,7 +91,8 @@ def test_trials_run_in_worker_processes(monkeypatch):
 @pytest.mark.parametrize("error,code", [(ValueError("bad trial"), 2),
                                         (estimator.DataRangeError("bad range"), 3)])
 @pytest.mark.parametrize("in_worker", [True, False])
-def test_trial_errors_reach_the_caller(monkeypatch, capsys, error, code, in_worker):
+def test_trial_errors_reach_the_caller(monkeypatch, always_fork, capsys, error, code,
+                                       in_worker):
     # range 1 runs in a worker, range 0 on the caller
     _fail_where(monkeypatch, "band-bootstrap",
                 lambda pid, caller: (pid != caller) == in_worker, error)
@@ -98,7 +109,7 @@ def test_trial_errors_reach_the_caller(monkeypatch, capsys, error, code, in_work
     _assert_no_workers_left(threads)
 
 
-def test_trial_processes_keep_one_thread_busy_each(monkeypatch):
+def test_trial_processes_keep_one_thread_busy_each(monkeypatch, always_fork):
     # 3 CPUs: a block job would take 3 threads, but not while trials hold them
     real, blas = simulate.METHODS["band-debiased"], blocks._openblas()
     blas_threads = [get() for get, _ in blas]
@@ -118,7 +129,7 @@ def test_trial_processes_keep_one_thread_busy_each(monkeypatch):
     assert [get() for get, _ in blas] == blas_threads
 
 
-def test_trials_run_inline_where_forking_is_unsafe(monkeypatch):
+def test_trials_run_inline_where_forking_is_unsafe(monkeypatch, always_fork):
     _fail_where(monkeypatch, "ci-bootstrap", lambda pid, caller: pid != caller,
                 ValueError("ran in a worker"))
     monkeypatch.setattr(blocks, "cpus", lambda: 2)
@@ -140,6 +151,44 @@ def test_trials_run_inline_where_forking_is_unsafe(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     _report("ci-bootstrap", 3)  # no fork start method
     assert multiprocessing.active_children() == []
+
+
+def _pids(item_0_seconds, items):
+    """The pid that ran each item; item 0 takes ``item_0_seconds``."""
+    if 0 in items:
+        time.sleep(item_0_seconds)
+    return [os.getpid()] * len(items)
+
+
+@pytest.mark.parametrize("total", [3, 5])
+def test_work_worth_a_fork_runs_in_workers(monkeypatch, total):
+    monkeypatch.setattr(blocks, "cpus", lambda: 2)
+    # item 0 takes the whole floor, so the rest takes at least twice it
+    parts = blocks.run_forked(functools.partial(_pids, blocks._FORK_MIN_SECONDS), total)
+    pids = [pid for part in parts for pid in part]
+    assert len(pids) == total and pids[0] == os.getpid()
+    assert len(set(pids)) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_small_work_runs_inline(monkeypatch):
+    monkeypatch.setattr(blocks, "cpus", lambda: 2)
+    parts = blocks.run_forked(functools.partial(_pids, 0.0), 4)
+    assert parts == [[os.getpid()], [os.getpid()] * 3]
+    # a study of milliseconds: no trial runs in a worker
+    _fail_where(monkeypatch, "band-bootstrap", lambda pid, caller: pid != caller,
+                ValueError("ran in a worker"))
+    _report("band-bootstrap", 4)
+    assert multiprocessing.active_children() == []
+
+
+def test_two_trials_never_fork(monkeypatch, always_fork):
+    # the second trial would run in a worker while the caller waits
+    _fail_where(monkeypatch, "ci-plugin", lambda pid, caller: pid != caller,
+                ValueError("ran in a worker"))
+    monkeypatch.setattr(blocks, "cpus", lambda: 3)
+    _report("ci-plugin", 2)
+    assert blocks.run_forked(functools.partial(_pids, 0.0), 2) == [[os.getpid()] * 2]
 
 
 # --- the configuration is checked before any trial runs ---
