@@ -22,6 +22,7 @@ processes instead, when the work is worth a fork.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 
@@ -144,16 +145,26 @@ def _openblas() -> list:
     return found
 
 
+def _timed(fn, item: int, done: list) -> float:
+    """Append fn(range(item, item + 1)) to ``done``; return its seconds."""
+    start = time.perf_counter()
+    done.append(fn(range(item, item + 1)))
+    return time.perf_counter() - start
+
+
 def run_forked(fn, total: int) -> list:
     """[fn(r) for r in ranges]: contiguous ranges, in order, that cover
-    range(total).  Item 0 runs first on the caller, timed.  If the rest would
-    take _FORK_MIN_SECONDS at its time, it is cut into w ranges, ranges
-    1..w-1 in forked worker processes and range 0 on the caller; else it
-    runs inline.
+    range(total).  Item 0 runs first on the caller, timed.  If its time says
+    fork but item 0 loaded modules (the lazy imports of a process's first
+    call), item 1 runs on the caller too, timed, and its time decides.  If
+    the rest would take _FORK_MIN_SECONDS at that time, it is cut into w
+    ranges, ranges 1..w-1 in forked worker processes and range 0 on the
+    caller; else it runs inline.
 
-    w is the number of CPUs, at most total - 1; it is 1 (fn runs inline,
-    once) on one CPU, for fewer than three items, without the fork start
-    method, inside run_forked, or when other threads live in this process.
+    w is the number of CPUs, at most the number of items left; it is 1 (fn
+    runs inline, once) on one CPU, for fewer than three items, without the
+    fork start method, inside run_forked, or when other threads live in
+    this process.
     Workers are forked, not spawned: they start from the caller's memory,
     with what item 0 imported and the same function objects (a rebound
     construction, a tracer's wrappers) as the caller.  fn and each result
@@ -178,11 +189,15 @@ def run_forked(fn, total: int) -> list:
         if workers == 1:
             return [fn(range(total))]
         _forked = True  # the workers inherit this and the one BLAS thread
-        start = time.perf_counter()
-        first = fn(range(1))
-        if (time.perf_counter() - start) * (total - 1) < _FORK_MIN_SECONDS:
-            return [first, fn(range(1, total))]
-        edges = [1 + (total - 1) * k // workers for k in range(workers + 1)]
+        modules, done = len(sys.modules), []
+        seconds = _timed(fn, 0, done)
+        if seconds * (total - 1) >= _FORK_MIN_SECONDS and len(sys.modules) > modules:
+            seconds = _timed(fn, 1, done)  # item 0's time held its imports
+        rest = range(len(done), total)
+        workers = min(workers, len(rest))
+        if seconds * len(rest) < _FORK_MIN_SECONDS or workers < 2:
+            return [*done, fn(rest)]
+        edges = [rest.start + len(rest) * k // workers for k in range(workers + 1)]
         ranges = [range(a, b) for a, b in zip(edges, edges[1:])]
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -190,7 +205,7 @@ def run_forked(fn, total: int) -> list:
         with ProcessPoolExecutor(workers - 1, multiprocessing.get_context("fork")) as pool:
             futures = [pool.submit(fn, r) for r in ranges[1:]]
             mine = fn(ranges[0])
-            return [first, mine, *(f.result() for f in futures)]
+            return [*done, mine, *(f.result() for f in futures)]
     finally:
         _forked = forked
         for (_, put), threads in zip(blas, blas_threads):

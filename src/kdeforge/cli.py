@@ -402,6 +402,17 @@ def cmd_simulate(args):
           f"{report.trials} trials)")
 
 
+def _grid_size(text: str) -> int:
+    """The value of --grid: a whole number of points, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"grid size must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kdeforge",
@@ -421,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--lscv-grid", default=None, metavar="LO:HI:COUNT",
                           help="LSCV candidates (with --bandwidth-method lscv)")
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid", type=int, default=256, help="grid resolution per dimension")
+    grid.add_argument("--grid", type=_grid_size, default=256, help="grid resolution per dimension")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", default=None, help="output file path")
     bootstrap = argparse.ArgumentParser(add_help=False)

@@ -2,7 +2,8 @@
 
 The estimator is p_hat(x) = (1 / (n h^d)) * sum_i K((x - X_i) / h).  Partial
 derivatives up to order two are computed from the analytic Gaussian kernel
-derivatives, scaled by 1 / (n h^(d + |beta|)).
+derivatives, scaled by 1 / (n h^(d + |beta|)); the kernel sums go to order
+three, whose moments SCMS's Newton step needs (``geometry``).
 
 Every kernel or CDF term at arbitrary queries comes from one pair pass,
 ``_pairs``: it forms the exact offsets u = (x - X_i) / h a slice of about
@@ -21,6 +22,8 @@ to matter (see _FLUSH_EXPONENT).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -190,29 +193,50 @@ def _squared_norm(u: list, out=None) -> np.ndarray:
 def _kernel_sums(model: DensityModel, x: np.ndarray, order: int):
     """Kernel sums over the sample at each query, with u_i = (x - X_i) / h:
 
-    s0 = sum_i K(u_i) (m,), s1 = sum_i K(u_i) u_i (m, d) and
-    s2 = sum_i K(u_i) u_i u_i^T (m, d, d); returns (s0, ..., s_order).
+    s0 = sum_i K(u_i) (m,), s1 = sum_i K(u_i) u_i (m, d),
+    s2 = sum_i K(u_i) u_i u_i^T (m, d, d) and s3 = sum_i K(u_i) u_i (x) u_i (x) u_i
+    (m, d, d, d); returns (s0, ..., s_order).  Each sum is the same whatever
+    the order asked for.
 
     ``x`` is an (m, d) array of finite queries (see ``_query_matrix``).  No
     (n, m, d) array is built.
     """
     m, d = x.shape
     sums = [np.empty((m,) + (d,) * k) for k in range(order + 1)]
+    distinct = np.empty((m, math.comb(d + 2, 3) if order == 3 else 0))  # s3 at l >= j >= i
 
     def fill(rows, u):
         sq = _squared_norm(u)
         k = evaluate_sq(model.kernel, sq, out=sq)  # sq is not needed again
         sums[0][rows] = k.sum(axis=0)
+        entry = 0
         for l in range(d if order >= 1 else 0):
             sums[1][rows, l] = np.einsum("ij,ij->j", k, u[l])
-            if order == 2:
+            if order >= 2:
                 ku = k * u[l]
                 for j in range(l + 1):
                     sums[2][rows, l, j] = sums[2][rows, j, l] = np.einsum(
                         "ij,ij->j", ku, u[j])
+                    if order == 3:
+                        kuu = ku * u[j]
+                        for i in range(j + 1):
+                            distinct[rows, entry] = np.einsum("ij,ij->j", kuu, u[i])
+                            entry += 1
 
     _pairs(model, x, fill)
+    if order == 3:
+        sums[3] = distinct[:, _symmetric_entries(d)].reshape(m, d, d, d)
     return tuple(sums)
+
+
+@functools.cache
+def _symmetric_entries(d: int) -> list:
+    """For each entry (a, b, c) of a symmetric (d, d, d) tensor, row-major, the
+    position of its sorted index l >= j >= i among those ``_kernel_sums``
+    forms, in the order it forms them."""
+    formed = [(l, j, i) for l in range(d) for j in range(l + 1) for i in range(j + 1)]
+    return [formed.index(tuple(sorted(index, reverse=True)))
+            for index in itertools.product(range(d), repeat=3)]
 
 
 def _gradients(model: DensityModel, s1: np.ndarray) -> np.ndarray:

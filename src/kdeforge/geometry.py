@@ -5,7 +5,8 @@
 * ``level_set`` -- superlevel threshold of a density grid plus connected
   components under face adjacency.
 * ``scms`` -- subspace-constrained mean shift: the mean-shift step projected
-  onto the trailing (d-1) Hessian eigenvectors, converging to density ridges.
+  onto the trailing (d-1) Hessian eigenvectors, converging to density ridges
+  (a constrained Newton step where the local model allows it).
 * ``morse_smale`` -- partition of an evaluated grid by the (mode, minimum)
   pair that each point's discrete steepest-ascent and steepest-descent flows
   reach; the flows follow neighbour pointers on the grid's own values.
@@ -13,9 +14,16 @@
 Mean shift and SCMS differ only in their step (``_mean_shift_step``,
 ``_scms_step``); one loop, ``_ascend``, iterates either over an active set of
 starts and reports each start's end point, converged and dropped flags and
-iteration count.  ``find_modes`` is the one code path from starts to modes
-(merge of converged destinations, curvature check); ``morse_smale`` polishes
-its grid's ascent sinks through it.
+iteration count.  Each step is a Newton step where the local model allows
+it and the first-order step elsewhere, row by row: mean shift takes
+-H^-1 grad p_hat near a mode, where it does not lower p_hat; SCMS takes a
+Newton step for V^T grad p_hat = 0 along the trailing eigenvectors V, whose
+Jacobian includes how V turns as x moves (third-order kernel sums; Ozertem &
+Erdogmus 2011, *JMLR* 12:1249; Genovese et al. 2014, *Ann. Statist.*
+42:1511).  Both converge quadratically where the first-order steps converge
+linearly.  ``find_modes`` is the one code path from starts to modes (merge
+of converged destinations, curvature check); ``morse_smale`` polishes its
+grid's ascent sinks through it.
 
 Convergence tolerances are artifact choices: the SCMS gradient tolerance
 is 1e-6 * (largest KDE value at the sample points) / h and the mode merge
@@ -25,6 +33,7 @@ radius defaults to h / 2, keeping both thresholds scale-aware.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +44,9 @@ from .estimator import DensityModel, EvalGrid
 EXTERIOR = -1  # shared label for flows that leave the grid or reach no extremum
 # SCMS drops a start whose leading Hessian eigengap falls below this.
 _EIGEN_GAP_TOL = 1e-10
+# max_t |t^3 - 3t| exp(-t^2 / 2), at t^2 = 3 - sqrt(6): the third derivative of
+# the Gaussian kernel along a unit direction is at most _C3 / (2 pi)^(d/2)
+_C3 = math.sqrt(6 * (3 - math.sqrt(6))) * math.exp(-(3 - math.sqrt(6)) / 2)
 
 
 @dataclass(frozen=True)
@@ -118,13 +130,41 @@ def _ascend(model: DensityModel, x, step, tol: float, max_iter: int):
 
 
 def _mean_shift_step(model: DensityModel, x: np.ndarray):
-    """The mean-shift update sum_i K(u_i) (X_i - x) / sum_i K(u_i), the
-    weighted sample mean minus x.  Density is nondecreasing along Gaussian
-    iterates, so it needs no step-size control.  It is undefined where
-    every kernel weight underflows."""
-    s0, s1 = estimator._kernel_sums(model, x, 1)
+    """The Newton step -H^-1 grad p_hat where it is short and climbs, else the
+    mean-shift update sum_i K(u_i) (X_i - x) / sum_i K(u_i), the weighted
+    sample mean minus x.  Undefined where every kernel weight underflows.
+
+    A row takes the Newton step delta when its Hessian H is negative
+    definite, |delta| <= h / 4 and p_hat(x + delta) >= p_hat(x).  The last is
+    settled by a bound where it can be, else by evaluating p_hat(x + delta):
+    by Taylor's theorem p_hat(x + delta) - p_hat(x) is at least
+    grad . delta / 2 - |delta|^3 _C3 / (6 (2 pi)^(d/2) h^(d+3)), the first term
+    that of the quadratic model, the second a bound on the third derivative
+    of any Gaussian kernel along delta.  Density is nondecreasing along
+    Gaussian mean-shift iterates, so neither step lowers p_hat and neither
+    needs step-size control; near a mode the Newton step converges
+    quadratically, mean shift linearly.
+    """
+    s0, s1, s2 = estimator._kernel_sums(model, x, 2)
     ok = s0 > 0
-    return -model.bandwidth * s1[ok] / s0[ok, None], ok
+    s0, s1, s2 = s0[ok], s1[ok], s2[ok]
+    h = model.bandwidth
+    shift = -h * s1 / s0[:, None]
+    hess = estimator._hessians(model, s0, s2)
+    rows = np.flatnonzero(np.linalg.eigvalsh(hess)[:, -1] < 0)
+    newton = -np.linalg.solve(
+        hess[rows], estimator._gradients(model, s1[rows])[:, :, None])[:, :, 0]
+    length = np.linalg.norm(newton, axis=1)
+    short = length <= h / 4
+    rows, newton, length = rows[short], newton[short], length[short]
+    # the bound times 6 (2 pi)^(d/2) h^3 n h^d, where grad . delta = -s1 . delta / (n h^(d+1))
+    climbs = (-3 * (2 * math.pi) ** (model.dim / 2) * h * h * np.vecdot(s1[rows], newton)
+              >= model.n * _C3 * length ** 3)
+    check = np.flatnonzero(~climbs)
+    (at_step,) = estimator._kernel_sums(model, x[ok][rows[check]] + newton[check], 0)
+    climbs[check] = at_step >= s0[rows[check]]
+    shift[rows[climbs]] = newton[climbs]
+    return shift, ok
 
 
 def mean_shift(model: DensityModel, start, tol: float = 1e-8,
@@ -143,21 +183,26 @@ def mean_shift(model: DensityModel, start, tol: float = 1e-8,
 def _merge_points(points: np.ndarray, densities: np.ndarray, radius: float):
     """Greedy merge of nearby destinations, highest density first.
 
+    Each point joins the earliest representative within ``radius``, or
+    becomes one.  So, walking the points in density order, a point not yet
+    claimed becomes a representative and claims every unclaimed point within
+    reach; the distance is sqrt(diff . diff) with numpy's dot product, the
+    bits of np.linalg.norm of one difference, so ties at the radius fall as
+    they would pair by pair.
+
     Returns (representatives, representative densities, member -> rep index).
     """
     order = np.argsort(-densities, kind="stable")
     reps: list[int] = []
     assign = np.full(points.shape[0], -1, dtype=int)
     for i in order:
-        placed = False
-        for rid, rep_idx in enumerate(reps):
-            if np.linalg.norm(points[i] - points[rep_idx]) <= radius:
-                assign[i] = rid
-                placed = True
-                break
-        if not placed:
-            assign[i] = len(reps)
-            reps.append(i)
+        if assign[i] >= 0:
+            continue
+        diff = points - points[i]
+        near = np.sqrt(np.vecdot(diff, diff)) <= radius
+        near[i] = True  # a representative is its own, whatever the radius
+        assign[near & (assign < 0)] = len(reps)
+        reps.append(i)
     return points[reps], densities[reps], assign
 
 
@@ -205,10 +250,14 @@ def scms(model: DensityModel, starts=None, tol: float = 1e-7,
          max_iter: int = 500, max_starts: int = 2000) -> RidgeSet:
     """Subspace-constrained mean shift toward density ridges.
 
-    Each iterate projects the mean-shift step onto the span of the trailing
-    d-1 Hessian eigenvectors; a converged point x satisfies
-    ||V V^T grad p_hat(x)|| <= grad_tol with lambda_2(x) < 0.  Points whose
-    leading Hessian eigengap collapses below _EIGEN_GAP_TOL are dropped.
+    Each iterate moves within the span V of the trailing d-1 Hessian
+    eigenvectors: by the constrained Newton step where every trailing
+    eigenvalue is negative, the step's Jacobian is negative definite and the
+    step is at most h / 4 long, else by the mean-shift step projected onto V
+    (``_scms_step``).  The ridge points returned satisfy
+    ||V V^T grad p_hat(x)|| <= grad_tol with lambda_2(x) < 0, whichever step
+    reached them.  Points whose leading Hessian eigengap collapses below
+    _EIGEN_GAP_TOL are dropped.
     """
     if model.dim < 2:
         raise ValueError("SCMS requires d >= 2")
@@ -237,14 +286,51 @@ def scms(model: DensityModel, starts=None, tol: float = 1e-7,
 
 
 def _scms_step(model: DensityModel, x: np.ndarray):
-    """The mean-shift step projected onto the span of the trailing d - 1
-    Hessian eigenvectors, undefined where the leading eigengap is below
-    _EIGEN_GAP_TOL."""
-    s0, s1, s2 = estimator._kernel_sums(model, x, 2)
-    eigvals, eigvecs = np.linalg.eigh(estimator._hessians(model, s0, s2))
-    ok = ~(eigvals[:, -1] - eigvals[:, -2] < _EIGEN_GAP_TOL)
-    shift = -model.bandwidth * s1[ok] / s0[ok, None]
-    return _project(eigvecs[ok, :, :-1], shift), ok
+    """A constrained Newton step onto the ridge where the local model allows
+    it, else the mean-shift step projected onto the span of the trailing
+    d - 1 Hessian eigenvectors V; undefined where the leading eigengap is
+    below _EIGEN_GAP_TOL.
+
+    The ridge is the zero set of F(x) = V^T grad p_hat.  With w the leading
+    eigenvector (eigenvalue lambda_w) and T the third-derivative tensor, the
+    Jacobian of F along V is J_ab = lambda_a delta_ab + (w . grad p_hat)
+    T(w, v_a, v_b) / (lambda_a - lambda_w): the second term is how V turns as
+    x moves, without which the step converges no faster than SCMS.  A row
+    takes delta = -V J^-1 F when every lambda_a < 0, J + J^T is negative
+    definite (delta then points the way the SCMS step does) and |delta| <= h / 4.
+    """
+    s0, s1, s2, s3 = estimator._kernel_sums(model, x, 3)
+    lam, vecs = np.linalg.eigh(estimator._hessians(model, s0, s2))
+    ok = ~(lam[:, -1] - lam[:, -2] < _EIGEN_GAP_TOL)
+    if not ok.all():
+        s0, s1, s3, lam, vecs = s0[ok], s1[ok], s3[ok], lam[ok], vecs[ok]
+    m, d = s1.shape
+    scale = model.n * model.bandwidth ** (d + 1)  # grad p_hat = -s1 / scale
+    v, w = vecs[:, :, :-1], vecs[:, :, -1:]
+    f = s1[:, None, :] @ vecs / -scale  # (m, 1, d): V^T grad p_hat, then w . grad p_hat
+    fv, wg = f[:, :, :-1].transpose(0, 2, 1), f[:, :, -1:]
+    # the mean-shift step -h s1 / s0, projected: V V^T grad p_hat h scale / s0
+    shift = (v @ fv)[:, :, 0] * (model.bandwidth * scale / s0)[:, None]
+
+    # scale h^2 T(w, v_a, v_b) = (s1 . w) delta_ab - v_a^T (s3 . w) v_b, since w
+    # is orthogonal to V, and s1 . w = -scale (w . grad p_hat); so, with
+    # gap = (lambda_a - lambda_w) h^2, J = (lambda_a - wg^2 / gap) delta_ab
+    # - wg v_a^T (s3 . w) v_b / (scale gap)
+    s3w = (w.transpose(0, 2, 1) @ s3.reshape(m, d, d * d)).reshape(m, d, d)
+    gap = (lam[:, :-1] - lam[:, -1:])[:, :, None] * model.bandwidth ** 2
+    jac = v.transpose(0, 2, 1) @ s3w @ v * (-wg / (scale * gap))
+    jac += (lam[:, :-1, None] - wg * wg / gap) * np.eye(d - 1)
+    if d == 2:  # J is a scalar
+        rows = np.flatnonzero((lam[:, 0] < 0) & (jac[:, 0, 0] < 0))
+        coef = fv[rows] / jac[rows]
+    else:
+        rows = np.flatnonzero((lam[:, -2] < 0) & (
+            np.linalg.eigvalsh(jac + jac.transpose(0, 2, 1))[:, -1] < 0))
+        coef = np.linalg.solve(jac[rows], fv[rows])
+    newton = -(v[rows] @ coef)[:, :, 0]
+    short = np.vecdot(newton, newton) <= model.bandwidth ** 2 / 16
+    shift[rows[short]] = newton[short]
+    return shift, ok
 
 
 def _project(v: np.ndarray, w: np.ndarray) -> np.ndarray:

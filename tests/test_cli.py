@@ -902,3 +902,44 @@ def test_cli_import_leaves_out_scipy_stats(module):
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+# --- grid sizes ---
+
+
+GRID_COMMANDS = {  # every subcommand that takes --grid: (fixture, its other flags)
+    "density": ("normal_csv", []), "ci": ("normal_csv", []),
+    "band": ("normal_csv", ["--boot", "20", "--seed", "1"]),
+    "levelset": ("normal_csv", ["--lambda", "0.01"]), "morse": ("normal_csv", []),
+    "tree": ("normal_csv", []), "persist": ("normal_csv", []), "cdf": ("normal_csv", []),
+    "roc": ("grouped_csv", ["--group-col", "status"]),
+    "simulate": (None, ["--n", "60", "--trials", "2", "--boot", "20", "--seed", "1"]),
+}
+
+
+def test_grid_commands_cover_every_subcommand_with_a_grid():
+    assert set(GRID_COMMANDS) == {name for name, flags in PARSER_SURFACE.items()
+                                  if "--grid" in flags}
+
+
+def _grid_argv(request, tmp_path, command, grid):
+    fixture, extra = GRID_COMMANDS[command]
+    source = [] if fixture is None else ["--input", request.getfixturevalue(fixture)]
+    return [command, *source, "--output", str(tmp_path / "out"), "--grid", grid, *extra]
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+@pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+def test_non_positive_grid_is_refused(request, tmp_path, capsys, command, grid):
+    assert cli.main(_grid_argv(request, tmp_path, command, grid)) == 2
+    err = capsys.readouterr().err
+    assert f"argument --grid: grid size must be >= 1, got {grid}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+def test_one_point_grid_exits_cleanly(request, tmp_path, capsys, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(_grid_argv(request, tmp_path, command, "1")) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

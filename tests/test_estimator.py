@@ -235,6 +235,70 @@ def test_blocked_sums_match_dense_reference(monkeypatch, rng, family, d, n, m):
                                    rtol=1e-12, atol=1e-12 * np.abs(hess_ref).max())
 
 
+def order_two_sums(model, x, order):
+    """The kernel sums of order <= 2 as the pair pass formed them before it
+    went to order three: the bits those sums must keep."""
+    m, d = x.shape
+    sums = [np.empty((m,) + (d,) * k) for k in range(order + 1)]
+
+    def fill(rows, u):
+        sq = estimator._squared_norm(u)
+        k = kernels.evaluate_sq(model.kernel, sq, out=sq)
+        sums[0][rows] = k.sum(axis=0)
+        for l in range(d if order >= 1 else 0):
+            sums[1][rows, l] = np.einsum("ij,ij->j", k, u[l])
+            if order == 2:
+                ku = k * u[l]
+                for j in range(l + 1):
+                    sums[2][rows, l, j] = sums[2][rows, j, l] = np.einsum(
+                        "ij,ij->j", ku, u[j])
+
+    estimator._pairs(model, x, fill)
+    return tuple(sums)
+
+
+@pytest.mark.parametrize("d,n,m", ENGINE_CASES)
+def test_kernel_sums_to_order_two_keep_their_bits(monkeypatch, rng, d, n, m):
+    model = DensityModel(Sample(rng.normal(size=(n, d))), KernelSpec(KernelFamily.GAUSSIAN, d), 0.8)
+    x = rng.normal(scale=1.5, size=(m, d))
+    for block in (estimator._BLOCK_ELEMENTS, 64):
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        for order in (0, 1, 2):
+            for got, ref in zip(estimator._kernel_sums(model, x, order),
+                                order_two_sums(model, x, order), strict=True):
+                np.testing.assert_array_equal(got, ref)
+        # order 3 adds s3 and leaves the lower sums as they are
+        *lower, s3 = estimator._kernel_sums(model, x, 3)
+        for got, ref in zip(lower, order_two_sums(model, x, 2), strict=True):
+            np.testing.assert_array_equal(got, ref)
+        _, _, _, k, u = dense_sums(model, x)
+        s3_ref = np.einsum("nm,nmd,nme,nmf->mdef", k, u, u, u)
+        np.testing.assert_allclose(s3, s3_ref, rtol=1e-12, atol=1e-12 * np.abs(s3_ref).max())
+        assert np.array_equal(s3, s3.transpose(0, 2, 1, 3))
+        assert np.array_equal(s3, s3.transpose(0, 3, 2, 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_third_order_sums_match_hessian_differences(rng, d):
+    # D^3 p_hat = -(s3_abc - s1_a delta_bc - s1_b delta_ac - s1_c delta_ab) / (n h^(d+3))
+    n, h, step = 60, 0.7, 1e-5
+    model = DensityModel(Sample(rng.normal(size=(n, d))), KernelSpec(KernelFamily.GAUSSIAN, d), h)
+    x = rng.normal(size=(4, d))
+    _, s1, _, s3 = estimator._kernel_sums(model, x, 3)
+    eye = np.eye(d)
+    s1_terms = (np.einsum("ma,bc->mabc", s1, eye) + np.einsum("mb,ac->mabc", s1, eye)
+                + np.einsum("mc,ab->mabc", s1, eye))
+    third = -(s3 - s1_terms) / (n * h ** (d + 3))
+    for j, point in enumerate(x):
+        for a in range(d):
+            e = np.zeros(d)
+            e[a] = step
+            fd = (estimator.hessian_at(model, point + e)
+                  - estimator.hessian_at(model, point - e)) / (2 * step)
+            np.testing.assert_allclose(third[j, a], fd, rtol=1e-6,
+                                       atol=1e-6 * np.abs(third).max())
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
 @pytest.mark.parametrize("total,unit,budget,floor,align", [
     (33, 41, 6 * 41, 2, 1), (41, 33, 6 * 33, 2, 1), (1, 7, 64, 2, 1), (2, 500, 64, 2, 1),
@@ -271,6 +335,7 @@ PASS_FILLS = {
     "kernel_sums_0": (_sums(0), False, estimator, "evaluate_sq"),
     "kernel_sums_1": (_sums(1), False, estimator, "evaluate_sq"),
     "kernel_sums_2": (_sums(2), False, estimator, "evaluate_sq"),
+    "kernel_sums_3": (_sums(3), False, estimator, "evaluate_sq"),
     "kernel_value_matrix": (lambda model, x: (estimator.kernel_value_matrix(model, x),),
                             True, estimator, "evaluate_sq"),
     "kernel_laplacian_matrix": (

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdeforge import estimator, geometry
 from kdeforge.estimator import DensityModel, Sample
@@ -361,3 +363,180 @@ def test_morse_smale_dim_limit(rng):
     grid = estimator.evaluate_grid(model, axes=grid_axes)
     with pytest.raises(ValueError, match="d <= 2"):
         morse_smale(model, grid)
+
+
+# --- second-order steps against first-order references ---
+
+
+def first_order_mean_shift_step(model, x):
+    """The plain mean-shift step, the reference the Newton step must agree with."""
+    s0, s1 = estimator._kernel_sums(model, x, 1)
+    ok = s0 > 0
+    return -model.bandwidth * s1[ok] / s0[ok, None], ok
+
+
+def first_order_scms_step(model, x):
+    """The mean-shift step projected on the trailing d - 1 Hessian
+    eigenvectors, the reference the constrained Newton step must agree with."""
+    s0, s1, s2 = estimator._kernel_sums(model, x, 2)
+    lam, vecs = np.linalg.eigh(estimator._hessians(model, s0, s2))
+    ok = ~(lam[:, -1] - lam[:, -2] < geometry._EIGEN_GAP_TOL)
+    v = vecs[ok, :, :-1]
+    shift = -model.bandwidth * s1[ok] / s0[ok, None]
+    return np.einsum("aij,aj->ai", v, np.einsum("aji,aj->ai", v, shift)), ok
+
+
+def four_clusters(rng, per=50, sd=0.6):
+    corners = 2.5 * np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
+    return np.concatenate([rng.normal(c, sd, size=(per, 2)) for c in corners])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]),
+       h=st.floats(0.3, 1.5), spread=st.floats(0.5, 4.0))
+def test_mean_shift_steps_never_lower_the_density(seed, d, h, spread):
+    rng = np.random.default_rng(seed)
+    data = np.concatenate([rng.normal(-1.5, 0.7, size=(30, d)),
+                           rng.normal(1.5, 1.0, size=(30, d))])
+    model = DensityModel(Sample(data), KernelSpec(KernelFamily.GAUSSIAN, d), h)
+    x = rng.normal(scale=spread, size=d)
+    prev = estimator.density_at(model, x)
+    for _ in range(12):
+        x, _, _ = mean_shift(model, x, max_iter=1)
+        cur = estimator.density_at(model, x)
+        # neither a kept Newton step nor a mean-shift step lowers p_hat,
+        # up to rounding
+        assert cur >= prev * (1 - 1e-13)
+        prev = cur
+
+
+def test_newton_step_that_would_lower_the_density_is_refused():
+    # between two points H < 0 and the Newton step is short, yet p_hat falls
+    # at its end: the row takes the mean-shift step instead
+    model = DensityModel(Sample(np.array([-0.54, 1.53])), GAUSS1, 1.0)
+    x = np.array([0.16])
+    hess = estimator.hessian_at(model, x)[0, 0]
+    newton = x - estimator.gradient_at(model, x) / hess
+    assert hess < 0 and abs(newton[0] - x[0]) <= 1.0 / 4
+    assert estimator.density_at(model, newton) < estimator.density_at(model, x)
+    step, _, _ = mean_shift(model, x, max_iter=1)
+    reference, _ = first_order_mean_shift_step(model, x[None])
+    np.testing.assert_array_equal(step, x + reference[0])
+    assert estimator.density_at(model, step) >= estimator.density_at(model, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), n=st.integers(1, 8),
+       h=st.floats(0.2, 2.0), reach=st.floats(0.01, 1.0))
+def test_taylor_bound_of_the_mean_shift_step_holds(seed, d, n, h, reach):
+    # |p_hat(x + delta) - p_hat(x) - grad . delta - delta^T H delta / 2| is at
+    # most |delta|^3 _C3 / (6 (2 pi)^(d/2) h^(d+3)), the bound that certifies
+    # a Newton step without evaluating p_hat at its end
+    rng = np.random.default_rng(seed)
+    model = DensityModel(Sample(rng.normal(size=(n, d))),
+                         KernelSpec(KernelFamily.GAUSSIAN, d), h)
+    x = rng.normal(size=d)
+    delta = rng.normal(size=d)
+    delta *= reach * h / np.linalg.norm(delta)
+    quadratic = (estimator.gradient_at(model, x) @ delta
+                 + delta @ estimator.hessian_at(model, x) @ delta / 2)
+    remainder = estimator.density_at(model, x + delta) - estimator.density_at(model, x) - quadratic
+    bound = np.linalg.norm(delta) ** 3 * geometry._C3 / (6 * (2 * np.pi) ** (d / 2) * h ** (d + 3))
+    assert abs(remainder) <= bound * (1 + 1e-9) + 1e-15
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_find_modes_matches_the_first_order_reference(monkeypatch, rng, d):
+    data = (bimodal_sample(rng, n=300) if d == 1 else four_clusters(rng))
+    model = DensityModel(Sample(data), KernelSpec(KernelFamily.GAUSSIAN, d), 0.7)
+    modes = find_modes(model)
+    _, _, _, iters = geometry._ascend(model, estimator._query_matrix(model, data),
+                                      geometry._mean_shift_step, 1e-8, 500)
+    monkeypatch.setattr(geometry, "_mean_shift_step", first_order_mean_shift_step)
+    reference = find_modes(model)
+    _, _, _, reference_iters = geometry._ascend(
+        model, estimator._query_matrix(model, data), first_order_mean_shift_step, 1e-8, 500)
+    assert modes.converged.all() and reference.converged.all()
+    assert modes.n_modes == reference.n_modes == 2 ** d
+    # the same modes, within 1e-6 h, and the same basins
+    np.testing.assert_allclose(modes.modes, reference.modes, rtol=0, atol=1e-6 * 0.7)
+    np.testing.assert_array_equal(modes.assignments, reference.assignments)
+    assert np.median(iters) < np.median(reference_iters) / 2
+
+
+def _ridge_cases():
+    rng = np.random.default_rng(1009)  # criterion 9's circle
+    theta = rng.uniform(0, 2 * np.pi, 800)
+    circle = 3.0 * np.column_stack([np.cos(theta), np.sin(theta)])
+    circle += rng.normal(0, 0.15, size=(800, 2))
+    rng = np.random.default_rng(17)
+    theta = rng.uniform(0, 2 * np.pi, 300)
+    ring3 = np.column_stack([3.0 * np.cos(theta), 3.0 * np.sin(theta), np.zeros(300)])
+    ring3 += rng.normal(0, 0.2, size=(300, 3))
+    # (data, h, the largest share of the first-order row-iterations the
+    # Newton steps may take): SCMS converges in a few steps on the circles,
+    # but in hundreds between the clusters, where V turns
+    return [pytest.param(circle, 0.7, 0.6, id="circle"),
+            pytest.param(four_clusters(np.random.default_rng(5)), 0.6, 0.3, id="four-clusters"),
+            pytest.param(ring3, 0.7, 0.6, id="circle-in-3d")]
+
+
+@pytest.mark.parametrize("data,h,share", _ridge_cases())
+def test_scms_matches_the_first_order_reference(monkeypatch, data, h, share):
+    d = data.shape[1]
+    model = DensityModel(Sample(data), KernelSpec(KernelFamily.GAUSSIAN, d), h)
+    starts = estimator._query_matrix(model, data)
+    ridge = scms(model)
+    iters = geometry._ascend(model, starts, geometry._scms_step, 1e-7, 500)[3]
+    grad_tol = 1e-6 * estimator.density(model, data).max() / h
+    assert ridge.converged.all()
+    assert ridge.points.shape[0] == data.shape[0]
+    assert np.all(ridge.lambda2 < 0)
+    assert np.all(ridge.projected_grad_norms <= grad_tol)
+    monkeypatch.setattr(geometry, "_scms_step", first_order_scms_step)
+    reference = scms(model)
+    reference_iters = geometry._ascend(model, starts, first_order_scms_step, 1e-7, 500)[3]
+    assert reference.points.shape[0] > 0.9 * data.shape[0]
+    # every reference ridge point lies within 0.2 h of a new one
+    gaps = np.linalg.norm(reference.points[:, None] - ridge.points[None], axis=2).min(axis=1)
+    assert gaps.max() <= 0.2 * h
+    assert iters.sum() <= share * reference_iters.sum()
+
+
+# --- merging destinations ---
+
+
+def merge_points_pairwise(points, densities, radius):
+    """The merge point by point: each point, highest density first, joins the
+    earliest representative within ``radius`` or becomes one."""
+    order = np.argsort(-densities, kind="stable")
+    reps = []
+    assign = np.full(points.shape[0], -1, dtype=int)
+    for i in order:
+        placed = False
+        for rid, rep_idx in enumerate(reps):
+            if np.linalg.norm(points[i] - points[rep_idx]) <= radius:
+                assign[i] = rid
+                placed = True
+                break
+        if not placed:
+            assign[i] = len(reps)
+            reps.append(i)
+    return points[reps], densities[reps], assign
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), d=st.integers(1, 3),
+       levels=st.integers(1, 6), radius=st.sampled_from(["tie", 0.45, -1.0]))
+def test_merge_points_matches_the_pairwise_merge(seed, m, d, levels, radius):
+    rng = np.random.default_rng(seed)
+    # points on a coarse lattice: many equal distances; few density levels:
+    # many equal densities
+    points = rng.integers(-3, 4, size=(m, d)) * 0.3 + rng.normal(scale=1e-9, size=(m, d))
+    densities = rng.integers(0, levels, size=m) / 7.0
+    if radius == "tie":  # the distance of one point to the first representative
+        first = np.argsort(-densities, kind="stable")[0]
+        radius = float(np.linalg.norm(points[rng.integers(m)] - points[first]))
+    for got, ref in zip(geometry._merge_points(points, densities, radius),
+                        merge_points_pairwise(points, densities, radius), strict=True):
+        np.testing.assert_array_equal(got, ref)

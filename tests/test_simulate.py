@@ -14,6 +14,8 @@ import functools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -190,6 +192,49 @@ def test_two_trials_never_fork(monkeypatch, always_fork):
     _report("ci-plugin", 2)
     assert blocks.run_forked(functools.partial(_pids, 0.0), 2) == [[os.getpid()] * 2]
 
+
+
+FIRST_CALL = """
+import sys
+from kdeforge import blocks, simulate
+blocks.cpus = lambda: 2
+simulate.simulate_coverage("normal", 100, "ci-plugin", 0.05, trials=5, seed=1,
+                           replicates=20, grid_size=16)
+print("concurrent.futures.process" in sys.modules)
+"""
+
+
+def test_first_call_imports_do_not_make_small_work_fork():
+    # a fresh interpreter: trial 0 loads the lazy imports, which its time holds
+    src = os.path.dirname(os.path.dirname(blocks.__file__))
+    out = subprocess.run([sys.executable, "-c", FIRST_CALL], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
+def _imports_then_pids(item_0_seconds, items):
+    """The pid that ran each item; item 0 imports a module not yet loaded and
+    takes ``item_0_seconds``."""
+    if 0 in items:
+        import json.tool  # noqa: F401
+        time.sleep(item_0_seconds)
+    return [os.getpid()] * len(items)
+
+
+def test_item_1_decides_after_item_0_imports(monkeypatch):
+    monkeypatch.setattr(blocks, "cpus", lambda: 2)
+    # item 0 takes the whole floor, but item 1 takes microseconds: inline
+    sys.modules.pop("json.tool", None)
+    parts = blocks.run_forked(
+        functools.partial(_imports_then_pids, blocks._FORK_MIN_SECONDS), 5)
+    assert parts == [[os.getpid()], [os.getpid()], [os.getpid()] * 3]
+    # a floor that item 1's time meets too: items 2..4 in two ranges, one forked
+    monkeypatch.setattr(blocks, "_FORK_MIN_SECONDS", 1e-9)
+    sys.modules.pop("json.tool", None)
+    parts = blocks.run_forked(functools.partial(_imports_then_pids, 0.0), 5)
+    assert [len(p) for p in parts] == [1, 1, 1, 2]
+    assert parts[:3] == [[os.getpid()]] * 3 and parts[3][0] != os.getpid()
+    assert multiprocessing.active_children() == []
 
 # --- the configuration is checked before any trial runs ---
 
