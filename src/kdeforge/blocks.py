@@ -155,9 +155,11 @@ def _timed(fn, item: int, done: list) -> float:
 def run_forked(fn, total: int) -> list:
     """[fn(r) for r in ranges]: contiguous ranges, in order, that cover
     range(total).  Item 0 runs first on the caller, timed.  If its time says
-    fork but item 0 loaded modules (the lazy imports of a process's first
-    call), item 1 runs on the caller too, timed, and its time decides.  If
-    the rest would take _FORK_MIN_SECONDS at that time, it is cut into w
+    fork, but item 0 loaded modules (the lazy imports of a process's first
+    call) or says the rest would take less than twice _FORK_MIN_SECONDS,
+    item 1 runs on the caller too, timed, and the shorter of the two times
+    decides: one slow item does not make work of a few milliseconds fork.
+    If the rest would take _FORK_MIN_SECONDS at that time, it is cut into w
     ranges, ranges 1..w-1 in forked worker processes and range 0 on the
     caller; else it runs inline.
 
@@ -191,8 +193,9 @@ def run_forked(fn, total: int) -> list:
         _forked = True  # the workers inherit this and the one BLAS thread
         modules, done = len(sys.modules), []
         seconds = _timed(fn, 0, done)
-        if seconds * (total - 1) >= _FORK_MIN_SECONDS and len(sys.modules) > modules:
-            seconds = _timed(fn, 1, done)  # item 0's time held its imports
+        if (_FORK_MIN_SECONDS <= seconds * (total - 1)
+                and (len(sys.modules) > modules or seconds * (total - 1) < 2 * _FORK_MIN_SECONDS)):
+            seconds = min(seconds, _timed(fn, 1, done))
         rest = range(len(done), total)
         workers = min(workers, len(rest))
         if seconds * len(rest) < _FORK_MIN_SECONDS or workers < 2:

@@ -17,12 +17,14 @@ starts and reports each start's end point, converged and dropped flags and
 iteration count.  Each step is a Newton step where the local model allows
 it and the first-order step elsewhere, row by row: mean shift takes
 -H^-1 grad p_hat near a mode, where it does not lower p_hat; SCMS takes a
-Newton step for V^T grad p_hat = 0 along the trailing eigenvectors V, whose
-Jacobian includes how V turns as x moves (third-order kernel sums; Ozertem &
-Erdogmus 2011, *JMLR* 12:1249; Genovese et al. 2014, *Ann. Statist.*
-42:1511).  Both converge quadratically where the first-order steps converge
-linearly.  ``find_modes`` is the one code path from starts to modes (merge
-of converged destinations, curvature check); ``morse_smale`` polishes its
+Newton step for V^T grad p_hat = 0 along the trailing eigenvectors V, at
+most h / 4 long, whose Jacobian includes how V turns as x moves
+(third-order kernel sums; Ozertem & Erdogmus 2011, *JMLR* 12:1249; Genovese
+et al. 2014, *Ann. Statist.* 42:1511), and the reversed step where that
+Jacobian makes the predicted ridge point repel SCMS.  Both converge
+quadratically where the first-order steps converge linearly.
+``find_modes`` is the one code path from starts to modes (merge of
+converged destinations, curvature check); ``morse_smale`` polishes its
 grid's ascent sinks through it.
 
 Convergence tolerances are artifact choices: the SCMS gradient tolerance
@@ -33,7 +35,6 @@ radius defaults to h / 2, keeping both thresholds scale-aware.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,6 @@ from .estimator import DensityModel, EvalGrid
 EXTERIOR = -1  # shared label for flows that leave the grid or reach no extremum
 # SCMS drops a start whose leading Hessian eigengap falls below this.
 _EIGEN_GAP_TOL = 1e-10
-# max_t |t^3 - 3t| exp(-t^2 / 2), at t^2 = 3 - sqrt(6): the third derivative of
-# the Gaussian kernel along a unit direction is at most _C3 / (2 pi)^(d/2)
-_C3 = math.sqrt(6 * (3 - math.sqrt(6))) * math.exp(-(3 - math.sqrt(6)) / 2)
 
 
 @dataclass(frozen=True)
@@ -135,12 +133,8 @@ def _mean_shift_step(model: DensityModel, x: np.ndarray):
     sample mean minus x.  Undefined where every kernel weight underflows.
 
     A row takes the Newton step delta when its Hessian H is negative
-    definite, |delta| <= h / 4 and p_hat(x + delta) >= p_hat(x).  The last is
-    settled by a bound where it can be, else by evaluating p_hat(x + delta):
-    by Taylor's theorem p_hat(x + delta) - p_hat(x) is at least
-    grad . delta / 2 - |delta|^3 _C3 / (6 (2 pi)^(d/2) h^(d+3)), the first term
-    that of the quadratic model, the second a bound on the third derivative
-    of any Gaussian kernel along delta.  Density is nondecreasing along
+    definite, |delta| <= h / 4 and p_hat(x + delta) >= p_hat(x), the last
+    checked by evaluating p_hat at x + delta.  Density is nondecreasing along
     Gaussian mean-shift iterates, so neither step lowers p_hat and neither
     needs step-size control; near a mode the Newton step converges
     quadratically, mean shift linearly.
@@ -154,15 +148,10 @@ def _mean_shift_step(model: DensityModel, x: np.ndarray):
     rows = np.flatnonzero(np.linalg.eigvalsh(hess)[:, -1] < 0)
     newton = -np.linalg.solve(
         hess[rows], estimator._gradients(model, s1[rows])[:, :, None])[:, :, 0]
-    length = np.linalg.norm(newton, axis=1)
-    short = length <= h / 4
-    rows, newton, length = rows[short], newton[short], length[short]
-    # the bound times 6 (2 pi)^(d/2) h^3 n h^d, where grad . delta = -s1 . delta / (n h^(d+1))
-    climbs = (-3 * (2 * math.pi) ** (model.dim / 2) * h * h * np.vecdot(s1[rows], newton)
-              >= model.n * _C3 * length ** 3)
-    check = np.flatnonzero(~climbs)
-    (at_step,) = estimator._kernel_sums(model, x[ok][rows[check]] + newton[check], 0)
-    climbs[check] = at_step >= s0[rows[check]]
+    short = np.linalg.norm(newton, axis=1) <= h / 4
+    rows, newton = rows[short], newton[short]
+    (at_step,) = estimator._kernel_sums(model, x[ok][rows] + newton, 0)
+    climbs = at_step >= s0[rows]
     shift[rows[climbs]] = newton[climbs]
     return shift, ok
 
@@ -252,12 +241,13 @@ def scms(model: DensityModel, starts=None, tol: float = 1e-7,
 
     Each iterate moves within the span V of the trailing d-1 Hessian
     eigenvectors: by the constrained Newton step where every trailing
-    eigenvalue is negative, the step's Jacobian is negative definite and the
-    step is at most h / 4 long, else by the mean-shift step projected onto V
-    (``_scms_step``).  The ridge points returned satisfy
-    ||V V^T grad p_hat(x)|| <= grad_tol with lambda_2(x) < 0, whichever step
-    reached them.  Points whose leading Hessian eigengap collapses below
-    _EIGEN_GAP_TOL are dropped.
+    eigenvalue is negative and the step's Jacobian is negative definite (cut
+    back to h / 4 where it is longer), by the reversed step where the
+    Jacobian is positive definite and the step short, else by the
+    mean-shift step projected onto V (``_scms_step``).  The ridge points
+    returned satisfy ||V V^T grad p_hat(x)|| <= grad_tol with lambda_2(x) < 0,
+    whichever step reached them.  Points whose leading Hessian eigengap
+    collapses below _EIGEN_GAP_TOL are dropped.
     """
     if model.dim < 2:
         raise ValueError("SCMS requires d >= 2")
@@ -296,8 +286,18 @@ def _scms_step(model: DensityModel, x: np.ndarray):
     Jacobian of F along V is J_ab = lambda_a delta_ab + (w . grad p_hat)
     T(w, v_a, v_b) / (lambda_a - lambda_w): the second term is how V turns as
     x moves, without which the step converges no faster than SCMS.  A row
-    takes delta = -V J^-1 F when every lambda_a < 0, J + J^T is negative
-    definite (delta then points the way the SCMS step does) and |delta| <= h / 4.
+    takes delta = -V J^-1 F when every lambda_a < 0 and J + J^T is negative
+    definite (delta then points the way the SCMS step does); a delta longer
+    than h / 4 is cut back to h / 4 along its own direction, where the local
+    model no longer holds but its direction still leads to the ridge.
+
+    Where J + J^T is positive definite instead, the zero of F that the local
+    model predicts repels the SCMS flow: the SCMS step goes along V F, F
+    grows along it, and near that zero SCMS creeps away at about J times its
+    step size an iteration, for hundreds of iterations.  There the row takes
+    the reversed step +V J^-1 F, which also points the way the SCMS step
+    does and doubles F in the local model, where it is at most h / 4 long;
+    a longer one would jump past the ridge the SCMS flow reaches.
     """
     s0, s1, s2, s3 = estimator._kernel_sums(model, x, 3)
     lam, vecs = np.linalg.eigh(estimator._hessians(model, s0, s2))
@@ -320,16 +320,16 @@ def _scms_step(model: DensityModel, x: np.ndarray):
     gap = (lam[:, :-1] - lam[:, -1:])[:, :, None] * model.bandwidth ** 2
     jac = v.transpose(0, 2, 1) @ s3w @ v * (-wg / (scale * gap))
     jac += (lam[:, :-1, None] - wg * wg / gap) * np.eye(d - 1)
-    if d == 2:  # J is a scalar
-        rows = np.flatnonzero((lam[:, 0] < 0) & (jac[:, 0, 0] < 0))
-        coef = fv[rows] / jac[rows]
-    else:
-        rows = np.flatnonzero((lam[:, -2] < 0) & (
-            np.linalg.eigvalsh(jac + jac.transpose(0, 2, 1))[:, -1] < 0))
-        coef = np.linalg.solve(jac[rows], fv[rows])
-    newton = -(v[rows] @ coef)[:, :, 0]
-    short = np.vecdot(newton, newton) <= model.bandwidth ** 2 / 16
-    shift[rows[short]] = newton[short]
+    sym = np.linalg.eigvalsh(jac + jac.transpose(0, 2, 1))
+    # 1 where J + J^T is negative definite, -1 where it is positive definite
+    sign = np.where(sym[:, -1] < 0, 1.0, np.where(sym[:, 0] > 0, -1.0, 0.0))
+    rows = np.flatnonzero((lam[:, -2] < 0) & (sign != 0))
+    newton = -(v[rows] @ np.linalg.solve(jac[rows], fv[rows]))[:, :, 0] * sign[rows, None]
+    length = np.linalg.norm(newton, axis=1)
+    reach = model.bandwidth / 4
+    keep = (sign[rows] > 0) | (length <= reach)
+    rows, newton, length = rows[keep], newton[keep], length[keep]
+    shift[rows] = newton * (reach / np.maximum(length, reach))[:, None]
     return shift, ok
 
 

@@ -425,26 +425,6 @@ def test_newton_step_that_would_lower_the_density_is_refused():
     assert estimator.density_at(model, step) >= estimator.density_at(model, x)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), n=st.integers(1, 8),
-       h=st.floats(0.2, 2.0), reach=st.floats(0.01, 1.0))
-def test_taylor_bound_of_the_mean_shift_step_holds(seed, d, n, h, reach):
-    # |p_hat(x + delta) - p_hat(x) - grad . delta - delta^T H delta / 2| is at
-    # most |delta|^3 _C3 / (6 (2 pi)^(d/2) h^(d+3)), the bound that certifies
-    # a Newton step without evaluating p_hat at its end
-    rng = np.random.default_rng(seed)
-    model = DensityModel(Sample(rng.normal(size=(n, d))),
-                         KernelSpec(KernelFamily.GAUSSIAN, d), h)
-    x = rng.normal(size=d)
-    delta = rng.normal(size=d)
-    delta *= reach * h / np.linalg.norm(delta)
-    quadratic = (estimator.gradient_at(model, x) @ delta
-                 + delta @ estimator.hessian_at(model, x) @ delta / 2)
-    remainder = estimator.density_at(model, x + delta) - estimator.density_at(model, x) - quadratic
-    bound = np.linalg.norm(delta) ** 3 * geometry._C3 / (6 * (2 * np.pi) ** (d / 2) * h ** (d + 3))
-    assert abs(remainder) <= bound * (1 + 1e-9) + 1e-15
-
-
 @pytest.mark.parametrize("d", [1, 2])
 def test_find_modes_matches_the_first_order_reference(monkeypatch, rng, d):
     data = (bimodal_sample(rng, n=300) if d == 1 else four_clusters(rng))
@@ -501,6 +481,35 @@ def test_scms_matches_the_first_order_reference(monkeypatch, data, h, share):
     gaps = np.linalg.norm(reference.points[:, None] - ridge.points[None], axis=2).min(axis=1)
     assert gaps.max() <= 0.2 * h
     assert iters.sum() <= share * reference_iters.sum()
+
+
+def test_long_constrained_newton_steps_are_cut_to_a_quarter_bandwidth():
+    # between the clusters J is near 0 and many Newton steps are longer than
+    # h / 4: each is cut back to h / 4 along its own direction, which goes
+    # the way of the SCMS step
+    h = 0.6
+    data = four_clusters(np.random.default_rng(5))
+    model = DensityModel(Sample(data), KernelSpec(KernelFamily.GAUSSIAN, 2), h)
+    shift, ok = geometry._scms_step(model, data)
+    reference, reference_ok = first_order_scms_step(model, data)
+    np.testing.assert_array_equal(ok, reference_ok)
+    newton = ~np.isclose(shift, reference, rtol=1e-9, atol=0).all(axis=1)
+    length = np.linalg.norm(shift[newton], axis=1)
+    assert np.all(length <= h / 4 * (1 + 1e-12))
+    assert np.isclose(length, h / 4, rtol=1e-12, atol=0).sum() > data.shape[0] / 4
+    assert np.all(np.vecdot(shift[newton], reference[newton]) > 0)
+
+
+def test_scms_leaves_a_repelling_zero_in_few_iterations():
+    # starts that land near a zero of V^T grad p_hat where J + J^T > 0 creep
+    # away from it for about 280 SCMS iterations; the reversed step leaves
+    # it in a few
+    h = 0.6
+    data = four_clusters(np.random.default_rng(4))
+    model = DensityModel(Sample(data), KernelSpec(KernelFamily.GAUSSIAN, 2), h)
+    _, converged, _, iters = geometry._ascend(
+        model, estimator._query_matrix(model, data), geometry._scms_step, 1e-7, 500)
+    assert converged.all() and iters.max() <= 100
 
 
 # --- merging destinations ---

@@ -236,6 +236,25 @@ def test_item_1_decides_after_item_0_imports(monkeypatch):
     assert parts[:3] == [[os.getpid()]] * 3 and parts[3][0] != os.getpid()
     assert multiprocessing.active_children() == []
 
+def _slept_pids(seconds, items):
+    """The pid that ran each item; item i sleeps ``seconds[i]`` (none past
+    the end of ``seconds``)."""
+    for i in items:
+        time.sleep(seconds[i] if i < len(seconds) else 0.0)
+    return [os.getpid()] * len(items)
+
+
+@pytest.mark.parametrize("item_1_seconds", [0.0, 0.5])
+def test_one_slow_item_near_the_floor_does_not_fork(monkeypatch, item_1_seconds):
+    monkeypatch.setattr(blocks, "cpus", lambda: 2)
+    monkeypatch.setattr(blocks, "_FORK_MIN_SECONDS", 0.4)
+    # item 0's time says the rest takes 0.44 s, under twice the floor, so
+    # item 1 is timed too; the shorter of the two says under the floor: inline
+    parts = blocks.run_forked(functools.partial(_slept_pids, [0.11, item_1_seconds]), 5)
+    assert parts == [[os.getpid()], [os.getpid()], [os.getpid()] * 3]
+    assert multiprocessing.active_children() == []
+
+
 # --- the configuration is checked before any trial runs ---
 
 
