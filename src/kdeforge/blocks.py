@@ -6,13 +6,19 @@ replicate counts and their products -- cuts its rows or queries into slices
 (``split``) and calls one function per slice (``run``).  Each call writes only
 its own slice of the output, and each job is written so that its bits do not
 depend on where the slices fall (see ``estimator._pairs`` and
-``inference._count_blocks``), so the slices may run in any order, on any
+``inference._replicate_products``), so the slices may run in any order, on any
 thread, and give the same result whatever the number of workers.  numpy
 releases the interpreter lock in the array operations these jobs spend their
 time in (exp, ndtr, integers, bincount, matmul), so the slices overlap.
 
 A job runs on the calling thread and on the threads of an executor that
 lives for that job alone; a job of one slice, or on one CPU, runs inline.
+
+A block job that multiplies matrices (the bootstrap's replicate products)
+holds OpenBLAS to one thread for its length (``one_blas_thread``), as
+``run_forked`` does: the job's workers already keep the CPUs busy, and a
+threaded BLAS rounds a product by its own split of it, so its bits would
+depend on the number of CPUs.
 
 Work whose Python part dominates gains nothing from threads, which share the
 interpreter lock: ``run_forked`` runs its contiguous ranges in forked worker
@@ -21,6 +27,7 @@ processes instead, when the work is worth a fork.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 import threading
@@ -33,6 +40,12 @@ _forked = False
 # run_forked forks only work that would take this long in sequence: a worker
 # costs 5-20 ms to start, fork and join, and two processes save half the work.
 _FORK_MIN_SECONDS = 0.02
+
+# Calls inside one_blas_thread, and each OpenBLAS's (set, thread count) to
+# restore when the last of them ends.
+_blas_lock = threading.Lock()
+_blas_pins = 0
+_blas_restore: list = []
 
 
 def cpus() -> int:
@@ -103,6 +116,35 @@ def run(fn, slices, workers: int) -> None:
             helper.result()
 
 
+def run_graph(tasks, workers: int) -> None:
+    """Call each task's function once the tasks it depends on have finished:
+    ``tasks`` is a list of (fn, deps), deps the indices of earlier tasks.
+
+    The tasks run as the slices of ``run``, taken in order, so a task waits
+    only on tasks already taken, which never wait on it.  An exception
+    raised by a task reaches the caller as raised, and no task calls its
+    function after it, so none runs without its dependencies.
+    """
+    done = [threading.Event() for _ in tasks]
+    failed = False
+
+    def call(i):
+        nonlocal failed
+        fn, deps = tasks[i]
+        try:
+            for d in deps:
+                done[d].wait()
+            if not failed:
+                fn()
+        except BaseException:
+            failed = True
+            raise
+        finally:
+            done[i].set()
+
+    run(call, range(len(tasks)), workers)
+
+
 def _fork_workers(total: int) -> int:
     """How many processes run_forked may use for ``total`` items: one per CPU,
     at most one per item, and one where forking is unavailable or unsafe."""
@@ -145,6 +187,31 @@ def _openblas() -> list:
     return found
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with every OpenBLAS of this process on one thread.
+
+    Nested and concurrent bodies share one pin: the first to enter sets one
+    thread, the last to leave restores each library's count.  Forked workers
+    inherit the pin.  Without OpenBLAS this does nothing.
+    """
+    global _blas_pins, _blas_restore
+    with _blas_lock:
+        if _blas_pins == 0:
+            _blas_restore = [(put, get()) for get, put in _openblas()]
+            for put, _ in _blas_restore:
+                put(1)
+        _blas_pins += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pins -= 1
+            if _blas_pins == 0:
+                for put, threads in _blas_restore:
+                    put(threads)
+
+
 def _timed(fn, item: int, done: list) -> float:
     """Append fn(range(item, item + 1)) to ``done``; return its seconds."""
     start = time.perf_counter()
@@ -183,33 +250,31 @@ def run_forked(fn, total: int) -> list:
     """
     global _forked
     workers = _fork_workers(total - 1)
-    blas, forked = _openblas(), _forked
-    blas_threads = [get() for get, _ in blas]
+    forked = _forked
     try:
-        for _, put in blas:
-            put(1)
-        if workers == 1:
-            return [fn(range(total))]
-        _forked = True  # the workers inherit this and the one BLAS thread
-        modules, done = len(sys.modules), []
-        seconds = _timed(fn, 0, done)
-        if (_FORK_MIN_SECONDS <= seconds * (total - 1)
-                and (len(sys.modules) > modules or seconds * (total - 1) < 2 * _FORK_MIN_SECONDS)):
-            seconds = min(seconds, _timed(fn, 1, done))
-        rest = range(len(done), total)
-        workers = min(workers, len(rest))
-        if seconds * len(rest) < _FORK_MIN_SECONDS or workers < 2:
-            return [*done, fn(rest)]
-        edges = [rest.start + len(rest) * k // workers for k in range(workers + 1)]
-        ranges = [range(a, b) for a, b in zip(edges, edges[1:])]
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        with one_blas_thread():
+            if workers == 1:
+                return [fn(range(total))]
+            _forked = True  # the workers inherit this and the one BLAS thread
+            modules, done = len(sys.modules), []
+            seconds = _timed(fn, 0, done)
+            if (_FORK_MIN_SECONDS <= seconds * (total - 1)
+                    and (len(sys.modules) > modules
+                         or seconds * (total - 1) < 2 * _FORK_MIN_SECONDS)):
+                seconds = min(seconds, _timed(fn, 1, done))
+            rest = range(len(done), total)
+            workers = min(workers, len(rest))
+            if seconds * len(rest) < _FORK_MIN_SECONDS or workers < 2:
+                return [*done, fn(rest)]
+            edges = [rest.start + len(rest) * k // workers for k in range(workers + 1)]
+            ranges = [range(a, b) for a, b in zip(edges, edges[1:])]
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers - 1, multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(fn, r) for r in ranges[1:]]
-            mine = fn(ranges[0])
-            return [*done, mine, *(f.result() for f in futures)]
+            with ProcessPoolExecutor(workers - 1,
+                                     multiprocessing.get_context("fork")) as pool:
+                futures = [pool.submit(fn, r) for r in ranges[1:]]
+                mine = fn(ranges[0])
+                return [*done, mine, *(f.result() for f in futures)]
     finally:
         _forked = forked
-        for (_, put), threads in zip(blas, blas_threads):
-            put(threads)

@@ -4,8 +4,9 @@ Subcommands: density, bandwidth, ci, band, modes, levelset, ridge, morse,
 tree, persist, cdf, roc, simulate.  Every subcommand writes a machine-readable
 JSON or CSV artifact plus a one-line human summary on stdout.
 
-Exit codes: 0 success, 2 configuration error, 3 data error.  Bootstrap paths
-require an explicit --seed; there is no wall-clock seeding.
+Exit codes: 0 success, 2 configuration error, 3 data error (an output too
+large for memory among them).  Bootstrap paths require an explicit --seed;
+there is no wall-clock seeding.
 """
 
 from __future__ import annotations
@@ -494,6 +495,9 @@ def main(argv=None) -> int:
         return 2
     except (DataError, estimator.DataRangeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # an output too large for this machine's memory
+        print(f"data error: {exc or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

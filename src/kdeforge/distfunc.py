@@ -16,7 +16,11 @@ ROC(t) = 1 - G(F^{-1}(1 - t)) for healthy responses with CDF F and diseased
 ones with CDF G; the smoothed estimator plugs in both smoothed CDFs, tabulated
 on their joint support.  The bootstrap band around it redraws the healthy,
 then the diseased indices from replicate r's stream (see ``inference``), and
-inverts each replicate's tabulation by interpolation alone.
+inverts each replicate's tabulation by interpolation alone.  The replicate
+tabulations are counts @ integrated-kernel terms, formed a chunk of sample
+rows at a time (``_cdf_rows``), so no (n, 1024) matrix of terms is built; the
+curve's own tabulation comes from the same walk, with the bits of the
+matrix's mean.
 """
 
 from __future__ import annotations
@@ -50,14 +54,18 @@ class SmoothedCDF:
         return float(data.min() - 10 * h), float(data.max() + 10 * h)
 
 
+def _cdf_rows(model: DensityModel, xs) -> estimator.PairRows:
+    """The rows of the integrated kernel at (xs_j - X_i) / h for m queries xs
+    (read by ``estimator._query_matrix``), formed on demand; the mean of the
+    (n, m) matrix over the sample is the smoothed CDF."""
+    return estimator.PairRows(model, estimator._query_matrix(model, xs),
+                              lambda u: np.copyto(u[0], integrated(model.kernel, u[0])))
+
+
 def _cdf_terms(model: DensityModel, xs) -> np.ndarray:
-    """(n, m) matrix of the integrated kernel at (xs_j - X_i) / h for m queries
-    xs (read by ``estimator._query_matrix``), filled one block of sample rows
-    at a time; its mean over the sample is the smoothed CDF."""
-    x = estimator._query_matrix(model, xs)
-    return estimator._pairs(model, x,
-                            lambda rows, u: np.copyto(u[0], integrated(model.kernel, u[0])),
-                            np.empty((model.n, x.shape[0])))
+    """(n, m) matrix of the integrated kernel at (xs_j - X_i) / h: every row
+    of ``_cdf_rows``."""
+    return _cdf_rows(model, xs).matrix()
 
 
 def _cdf_values(model: DensityModel, xs) -> np.ndarray:
@@ -168,10 +176,10 @@ def roc_band(healthy: Sample, diseased: Sample, kernel: KernelSpec,
     inference._check_bootstrap(alpha, plan)
     models, xs, t_grid = _roc_grids(healthy, diseased, kernel, h_healthy, h_diseased,
                                     t_grid)
-    phis = [_cdf_terms(m, xs) for m in models]
-    center = _smoothed_roc(models, xs, phis[0].mean(axis=0), t_grid)
-    f_star, g_star = (products / m.n for products, m in
-                      zip(inference._replicate_products(plan, phis), models))
+    sums = []
+    products = inference._replicate_products(plan, [_cdf_rows(m, xs) for m in models], sums)
+    center = _smoothed_roc(models, xs, sums[0] / models[0].n, t_grid)  # terms' mean
+    f_star, g_star = (p / m.n for p, m in zip(products, models))
     q = 1.0 - t_grid  # replicate curves: interpolation alone, never extrapolated
     boot = np.array([1.0 - np.interp(np.interp(np.clip(q, f[0], f[-1]), f, xs), xs, g)
                      for f, g in zip(f_star, g_star)])

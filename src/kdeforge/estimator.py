@@ -11,6 +11,8 @@ _BLOCK_ELEMENTS values at a time, and each caller says only what it does with
 u.  Sums over the sample walk slices of queries; (n, m) matrices walk slices
 of sample rows, in place in their output.  Both run their slices on the CPUs
 this process may use (``blocks``), with the same bits whatever their number.
+A row source (``PairRows``) forms any rows of such a matrix on demand, with
+the same bits, so the bootstraps never hold the whole matrix.
 
 Gaussian tensor grids take a second path, ``_factor_sums``.  The
 Gaussian kernel is a product of 1-d kernels, so on a grid with axes a_l the
@@ -167,18 +169,55 @@ def _pairs(model: DensityModel, x: np.ndarray, fn, out=None):
     data = model.sample.data
 
     def one_slice(rows):
-        q, sample, block = ((x[rows], data, None) if out is None
-                            else (x, data[rows], out[rows]))
-        u = []
-        for l in range(x.shape[1]):
-            ul = np.subtract(q[:, l], sample[:, l:l + 1], out=block if l == 0 else None)
-            ul /= model.bandwidth
-            u.append(ul)
-        fn(rows, u)
+        if out is None:
+            fn(rows, _offsets(model, x[rows], data))
+        else:
+            fn(rows, _offsets(model, x, data[rows], out[rows]))
 
     walk = (x.shape[0], model.n) if out is None else (model.n, x.shape[0])
     blocks.run(one_slice, *blocks.split(*walk, _BLOCK_ELEMENTS, 2))
     return out
+
+
+def _offsets(model: DensityModel, x: np.ndarray, sample: np.ndarray, block=None) -> list:
+    """The scaled offsets u_l = (x_jl - X_il) / h of the queries ``x`` from the
+    rows of ``sample``, one (rows, m) array per l, u_0 formed in ``block``
+    when it is given."""
+    u = []
+    for l in range(x.shape[1]):
+        ul = np.subtract(x[:, l], sample[:, l:l + 1], out=block if l == 0 else None)
+        ul /= model.bandwidth
+        u.append(ul)
+    return u
+
+
+class PairRows:
+    """An (n, m) matrix of per-pair terms at the (m, d) queries ``x``, its rows
+    formed on demand: ``fill(u)`` leaves the terms of the offsets u of a block
+    of sample rows in u[0] (see ``_pairs``).
+
+    ``source[a:b]`` forms rows a to b, ``source.form(a, b, out)`` forms them
+    in ``out``, and ``source.matrix()`` forms all n, a slice of rows on each
+    worker; every entry has the same bits whichever forms it, since each is a
+    function of its own offset alone.  A bootstrap takes its rows a chunk at
+    a time (``inference._replicate_products``) and never holds the matrix.
+    """
+
+    def __init__(self, model: DensityModel, x: np.ndarray, fill):
+        self.model, self.x, self.fill = model, x, fill
+        self.shape = (model.n, x.shape[0])
+
+    def form(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        self.fill(_offsets(self.model, self.x, self.model.sample.data[start:stop], out))
+        return out
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.shape[0])
+        return self.form(start, stop, np.empty((max(stop - start, 0), self.shape[1])))
+
+    def matrix(self) -> np.ndarray:
+        return _pairs(self.model, self.x, lambda rows, u: self.fill(u),
+                      np.empty(self.shape))
 
 
 def _squared_norm(u: list, out=None) -> np.ndarray:
@@ -251,15 +290,21 @@ def _hessians(model: DensityModel, s0: np.ndarray, s2: np.ndarray) -> np.ndarray
         model.n * model.bandwidth ** (model.dim + 2))
 
 
-def kernel_value_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:
-    """(n, m) matrix of K((x_q - X_i) / h) for query points x_q.
+def kernel_value_rows(model: DensityModel, queries) -> PairRows:
+    """The rows of K((x_q - X_i) / h) for query points x_q, formed on demand.
 
-    The plain bootstrap's per-observation contributions: over n h^d, its
-    column sums are the KDE and a replicate's counts @ it are that replicate's.
+    The plain bootstrap's per-observation contributions: over n h^d, their
+    column sums are the KDE and a replicate's counts @ them are that
+    replicate's.
     """
-    x = _query_matrix(model, queries)
-    return _pairs(model, x, lambda rows, u: evaluate_sq(  # all in place in u_0
-        model.kernel, _squared_norm(u, out=u[0]), out=u[0]), np.empty((model.n, len(x))))
+    return PairRows(model, _query_matrix(model, queries), lambda u: evaluate_sq(
+        model.kernel, _squared_norm(u, out=u[0]), out=u[0]))  # all in place in u_0
+
+
+def kernel_value_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:
+    """(n, m) matrix of K((x_q - X_i) / h) for query points x_q: every row of
+    ``kernel_value_rows``."""
+    return kernel_value_rows(model, queries).matrix()
 
 
 def kernel_laplacian_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:

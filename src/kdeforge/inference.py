@@ -23,11 +23,19 @@ Simultaneous constructions:
                                   rate.
 
 Every bootstrap here and in ``distfunc.roc_band`` reduces replicate counts @
-per-observation contributions.  ``_replicate_products`` draws the counts one
-block of replicates at a time and multiplies each block into its rows of the
-output, each block a task of the block executor (``blocks``): the blocks in
-flight share one memory budget, so memory stays bounded, and the products
-are the same bits on any number of CPUs.  The counts are those of
+per-observation contributions, and none builds the (n, m) matrix of
+contributions.  ``_replicate_products`` draws every replicate's counts once,
+as bytes (one (B, n) uint8 array a group), then forms the contributions a
+chunk of sample rows at a time from a row source (``estimator.PairRows``) and
+adds counts[:, chunk] @ chunk into the (B, m) output.  It holds B n bytes of
+counts, the 8 B m bytes of output, three chunks of about 1 MB and about 2 MB
+of float64 counts for the products in flight, where the matrix alone took
+8 n m bytes (41 MB at n = 20 000 and 256 points; the band peaks at 27 MB,
+against 56 MB).  Counts that would take more bytes than both the matrix and
+16 MB go in super-blocks of replicates, each walked in turn.  The draws,
+chunks and products are the tasks of one block job (``blocks``), with
+OpenBLAS on one thread, and every output row has the same bits on any number
+of CPUs.  The counts are those of
 ``default_rng([seed, r]).integers(0, n, n)``, but a replicate of at most
 2**14 draws takes them from its raw PCG64 words, a chunk of replicates at a
 time (``_raw_counts``): numpy's bounded-integer rule applied to whole arrays,
@@ -49,14 +57,28 @@ import numpy as np
 from . import blocks, estimator, kernels
 from .estimator import DensityModel, Sample
 
-# The blocks of replicate counts in flight hold about this many float64 values
-# (16 MB), each block a whole multiple of _ROW_ALIGN replicates (96 at
-# n = 20 000 on one CPU, 48 a block on two).
+# A block of replicates drawn by one task holds about this many counts (96
+# replicates at n = 20 000 on one CPU, 48 a block on two), a whole multiple of
+# _ROW_ALIGN replicates.
 _COUNT_BLOCK_ELEMENTS = 2**21
 _ROW_ALIGN = 16
 # A chunk of replicates whose counts come from raw generator words holds about
 # this many draws, so its int64 scratch (256 KB an array) stays in cache.
 _RAW_CHUNK_DRAWS = 2**15
+# A chunk of sample rows of contributions holds about this many float64 values
+# (1 MB; 512 rows at 256 points), and at most _CHUNK_MAX_ROWS rows, so the
+# counts of _ROW_ALIGN replicates over a chunk stay small at narrow grids.
+_CHUNK_ELEMENTS = 2**17
+_CHUNK_MAX_ROWS = 4096
+# Chunks of contributions held at once: chunk k + 2 is formed while chunk k
+# is multiplied.
+_CHUNKS_IN_FLIGHT = 3
+# The float64 copies of the counts that the chunk products in flight multiply
+# hold about this many values (2 MB), all workers together.
+_PRODUCT_ELEMENTS = 2**18
+# The counts of every replicate are drawn at once, unless their bytes would
+# pass both this and the bytes of the contribution matrices.
+_COUNT_BYTES = 2**24
 
 
 @dataclass(frozen=True)
@@ -70,7 +92,9 @@ class BootstrapPlan:
     (``_bit_generators``), and a replicate of at most 2**14 draws has its
     indices derived from its raw PCG64 words as numpy's ``integers`` derives
     them, redone on ``rng(r)`` where numpy would redraw a word
-    (``_block_counts``)."""
+    (``_block_counts``).  A bootstrap holds each count in a byte: an
+    observation drawn 256 times or more in one replicate (probability below
+    n / 256!) is refused, not wrapped."""
 
     replicates: int
     seed: int
@@ -223,31 +247,26 @@ def _replicate_rngs(seed: int, start: int, stop: int):
     return map(Generator, _bit_generators(seed, start, stop))
 
 
-def _count_slices(plan: BootstrapPlan, sizes):
-    """(slices, workers) of the replicates: blocks of counts that hold about
-    _COUNT_BLOCK_ELEMENTS values, shared among the workers (see ``blocks``)."""
-    return blocks.split(plan.replicates, sum(sizes), _COUNT_BLOCK_ELEMENTS,
-                        _ROW_ALIGN, _ROW_ALIGN)
+def _count_slices(plan: BootstrapPlan, sizes, replicates: int | None = None):
+    """(slices, workers) of ``replicates`` replicates (all B by default):
+    blocks of counts that hold about _COUNT_BLOCK_ELEMENTS values, shared among
+    the workers (see ``blocks``), starting at multiples of _ROW_ALIGN."""
+    return blocks.split(plan.replicates if replicates is None else replicates,
+                        sum(sizes), _COUNT_BLOCK_ELEMENTS, _ROW_ALIGN, _ROW_ALIGN)
 
 
 def _count_blocks(plan: BootstrapPlan, sizes):
     """Yield (rows, counts) for each block of replicates in turn: a slice of
     replicates and, per group of size n_k, its float64 counts of how often
-    replicate r draws each observation (``_block_counts``).
-
-    gemm rounds a row by its offset in the BLAS row micro-kernel (4 or 16
-    rows in OpenBLAS) and a one-row product (gemv) differently again, so
-    blocks start at multiples of _ROW_ALIGN and a lone last replicate joins
-    the block before it: block products equal one full product bit for bit,
-    whatever the number of workers that ``_replicate_products`` runs them on.
-    """
+    replicate r draws each observation (``_block_counts``)."""
     for rows in _count_slices(plan, sizes)[0]:
         yield rows, _block_counts(plan, sizes, rows.start, rows.stop)
 
 
-def _block_counts(plan: BootstrapPlan, sizes, start: int, stop: int) -> list:
-    """Each group's (stop - start, n_k) float64 counts of replicates start to
-    stop.
+def _block_counts(plan: BootstrapPlan, sizes, start: int, stop: int, out=None) -> list:
+    """Each group's (stop - start, n_k) counts of replicates start to stop,
+    written into the arrays ``out`` when given (uint8 in a bootstrap), else
+    into new float64 ones.
 
     Replicates go in chunks of about _RAW_CHUNK_DRAWS draws, whose counts
     ``_raw_counts`` derives from raw PCG64 words; a replicate where numpy
@@ -256,7 +275,7 @@ def _block_counts(plan: BootstrapPlan, sizes, start: int, stop: int) -> list:
     fast, so each replicate draws from its Generator.
     """
     chunk = _RAW_CHUNK_DRAWS // max(1, sum(n for n in sizes if n > 1))
-    counts = [np.empty((stop - start, n)) for n in sizes]
+    counts = [np.empty((stop - start, n)) for n in sizes] if out is None else out
     if chunk < 2:
         for i, rng in enumerate(_replicate_rngs(plan.seed, start, stop)):
             _draw_counts(rng, [c[i] for c in counts])
@@ -269,11 +288,25 @@ def _block_counts(plan: BootstrapPlan, sizes, start: int, stop: int) -> list:
     return counts
 
 
+def _store_counts(dest: np.ndarray, counts: np.ndarray) -> None:
+    """dest[...] = counts, refusing a count that a uint8 ``dest`` cannot hold.
+
+    A count of 256 needs one observation drawn 256 times in n draws, which
+    has probability below n / 256!; wrapping it would corrupt the bootstrap
+    silently, so it is refused.
+    """
+    if dest.dtype == np.uint8 and counts.max() > 255:
+        raise ValueError("a bootstrap replicate drew one observation 256 times or "
+                         "more; its counts are held as bytes")
+    dest[...] = counts
+
+
 def _draw_counts(rng, rows):
     """Fill one replicate's count row of each group, group after group, from
     ``rng.integers``."""
     for row in rows:
-        row[:] = np.bincount(rng.integers(0, row.size, row.size), minlength=row.size)
+        _store_counts(row, np.bincount(rng.integers(0, row.size, row.size),
+                                       minlength=row.size))
 
 
 def _raw_counts(bit_gens, counts) -> np.ndarray:
@@ -302,25 +335,164 @@ def _raw_counts(bit_gens, counts) -> np.ndarray:
         idx = u * np.int64(n)  # below 2**46: n <= 2**14 here
         idx >>= 32
         idx += np.arange(0, rows * n, n)[:, None]
-        c[:] = np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n)
+        _store_counts(c, np.bincount(idx.ravel(), minlength=rows * n).reshape(rows, n))
         col += n
     return np.flatnonzero(redo)
 
 
-def _replicate_products(plan: BootstrapPlan, contributions) -> list:
+def _chunk_rows(n: int, m: int) -> int:
+    """Sample rows of an (n, m) contribution matrix in one chunk of the walk:
+    about _CHUNK_ELEMENTS values, from _ROW_ALIGN to _CHUNK_MAX_ROWS rows, and
+    all n rows for one column or none (numpy sums an (n, 1) array pairwise,
+    not row by row)."""
+    return n if m < 2 else max(_ROW_ALIGN, min(_CHUNK_ELEMENTS // m, _CHUNK_MAX_ROWS))
+
+
+def _product_slices(rows: int, width: int, workers: int) -> list:
+    """Slices of ``rows`` replicates, one a product task, for chunks of
+    ``width`` sample rows: the float64 counts of the ``workers`` slices in
+    flight hold about _PRODUCT_ELEMENTS values together, and each worker has
+    a slice where the replicates suffice.  Slices start at multiples of
+    _ROW_ALIGN, and a lone last replicate joins the slice before it."""
+    share = _PRODUCT_ELEMENTS // (workers * width) // _ROW_ALIGN * _ROW_ALIGN
+    even = -(-rows // (workers * _ROW_ALIGN)) * _ROW_ALIGN
+    step = max(_ROW_ALIGN, min(share, even))
+    edges = [0, *range(step, rows - 1, step), rows]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _super_blocks(plan: BootstrapPlan, contributions) -> list:
+    """Slices of the replicates whose counts are drawn at once: all B, unless
+    their bytes would pass max(8 sum n_k m_k, _COUNT_BYTES); then aligned
+    blocks of about that many bytes, a lone last replicate joining the
+    block before it."""
+    n = sum(c.shape[0] for c in contributions)
+    cap = max(8 * sum(math.prod(c.shape) for c in contributions), _COUNT_BYTES)
+    size = max(_ROW_ALIGN, cap // n // _ROW_ALIGN * _ROW_ALIGN)
+    edges = [0, *range(size, plan.replicates - 1, size), plan.replicates]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _form_rows(source, start: int, stop: int, out: np.ndarray) -> None:
+    """Rows start to stop of an (n, m) array or row source, formed in ``out``."""
+    if isinstance(source, np.ndarray):
+        out[...] = source[start:stop]
+    else:
+        source.form(start, stop, out)
+
+
+def _replicate_products(plan: BootstrapPlan, contributions,
+                        sums: list | None = None) -> list:
     """(B, m_k) replicate counts @ contributions for each group's (n_k, m_k)
-    per-observation contributions: each block of replicates is drawn and
-    multiplied into its rows of the output by one task of the executor."""
-    sizes = [c.shape[0] for c in contributions]
+    per-observation contributions, given as arrays or as row sources
+    (``estimator.PairRows``); ``sums``, when given, receives each group's
+    column sums of the contributions, the bits of ``matrix.sum(axis=0)``.
+
+    The counts of every replicate are drawn once, as one (B, n_k) uint8 array
+    per group.  Then the walk forms the contributions one chunk of sample
+    rows at a time (``_chunk_rows``) and adds counts[:, chunk] @ chunk into
+    the output, so no bootstrap holds more than _CHUNKS_IN_FLIGHT chunks of
+    contributions.  Where the counts of all B replicates would take
+    more bytes than the contribution matrices (and more than _COUNT_BYTES),
+    the replicates go in super-blocks of that size (``_super_blocks``), each
+    drawn and walked in turn.
+
+    Draws, chunk forms and products are the tasks of one job
+    (``blocks.run_graph``), with OpenBLAS on one thread.  Each row of the
+    output has the same bits on any number of workers: chunk edges depend
+    on n_k and m_k alone, chunks are added in order, and each product takes
+    a slice of replicates that starts at a multiple of _ROW_ALIGN and holds
+    at least two (gemm rounds a row by its offset in its row micro-kernel,
+    and a one-row product, gemv, differently again).  The column sums carry
+    the running sum as the first row of each chunk, so numpy adds the rows
+    in the order it adds them in the whole matrix.
+    """
     outs = [np.empty((plan.replicates, c.shape[1])) for c in contributions]
-
-    def multiply(rows):
-        counts = _block_counts(plan, sizes, rows.start, rows.stop)
-        for out, cnt, contrib in zip(outs, counts, contributions):
-            np.matmul(cnt, contrib, out=out[rows])
-
-    blocks.run(multiply, *_count_slices(plan, sizes))
+    totals = [np.empty(c.shape[1]) for c in contributions]
+    with blocks.one_blas_thread():
+        for rows in _super_blocks(plan, contributions):
+            _walk(plan, contributions, rows, [o[rows.start:rows.stop] for o in outs],
+                  totals if sums is not None and rows.start == 0 else None)
+    if sums is not None:
+        sums.extend(totals)
     return outs
+
+
+def _walk(plan: BootstrapPlan, sources, rows: range, outs: list, totals) -> None:
+    """Draw the counts of replicates ``rows`` and add each chunk's products
+    into ``outs`` (their rows of the output), and each chunk's column sums
+    into ``totals`` when given: the job that ``_replicate_products``
+    describes."""
+    sizes = [s.shape[0] for s in sources]
+    counts = [np.empty((len(rows), n), dtype=np.uint8) for n in sizes]
+    draws, workers = _count_slices(plan, sizes, len(rows))
+    chunks, widths = [], []  # (group, start, stop) of each chunk; each group's widest
+    for g, source in enumerate(sources):
+        n, m = source.shape
+        step = _chunk_rows(n, m)
+        chunks += [(g, a, min(a + step, n)) for a in range(0, n, step)]
+        widths.append(min(step, n))
+        # as many workers as the draws, the forms or the products would take
+        workers = max(workers, blocks.split(n, m, _CHUNK_ELEMENTS, 1)[1],
+                      blocks.split(len(rows), widths[-1], _PRODUCT_ELEMENTS,
+                                   _ROW_ALIGN, _ROW_ALIGN)[1])
+    products = [_product_slices(len(rows), width, workers) for width in widths]
+    slots = [np.empty(max((b - a + 1) * sources[g].shape[1] for g, a, b in chunks))
+             for _ in range(min(_CHUNKS_IN_FLIGHT, len(chunks)))]
+
+    def chunk_rows(k):  # the running sum's row, then chunk k's rows
+        g, a, b = chunks[k]
+        flat = slots[k % _CHUNKS_IN_FLIGHT][:(b - a + 1) * outs[g].shape[1]]
+        return flat.reshape(b - a + 1, -1)
+
+    def form(k):
+        g, a, b = chunks[k]
+        chunk = chunk_rows(k)
+        _form_rows(sources[g], a, b, chunk[1:])
+        if totals is not None and a == 0:
+            np.sum(chunk[1:], axis=0, out=totals[g])
+        elif totals is not None:
+            chunk[0] = totals[g]  # the running sum, added first
+            np.sum(chunk, axis=0, out=totals[g])
+
+    def multiply(k, s):
+        g, a, b = chunks[k]
+        product = np.matmul(counts[g][s, a:b].astype(np.float64), chunk_rows(k)[1:],
+                            out=outs[g][s] if a == 0 else None)
+        if a > 0:
+            outs[g][s] += product
+
+    # Tasks in order: the first forms, the draws, then each chunk's products
+    # followed by the form of the chunk _CHUNKS_IN_FLIGHT - 1 ahead.  A form
+    # waits for the products of the chunk whose slot it takes and for the
+    # form before it (whose running sum it carries); a product waits for its
+    # chunk's form, its replicates' draws and its rows' product of the
+    # chunk before.
+    tasks, formed, multiplied = [], [], []  # task indices: forms, products per chunk
+
+    def add_form(k):
+        if k < len(chunks):
+            freed = multiplied[k - _CHUNKS_IN_FLIGHT] if k >= _CHUNKS_IN_FLIGHT else []
+            tasks.append((lambda: form(k), freed + formed[-1:]))
+            formed.append(len(tasks) - 1)
+
+    for k in range(_CHUNKS_IN_FLIGHT - 1):
+        add_form(k)
+    drawn = len(tasks)
+    tasks += [(lambda d=d: _block_counts(plan, sizes, rows.start + d.start,
+                                         rows.start + d.stop, [c[d] for c in counts]), [])
+              for d in draws]
+    for k, (g, a, _) in enumerate(chunks):
+        multiplied.append([])
+        for i, s in enumerate(products[g]):
+            deps = [formed[k]] + [drawn + j for j, d in enumerate(draws)
+                                  if d.start < s.stop and s.start < d.stop]
+            if a > 0:
+                deps.append(multiplied[k - 1][i])
+            tasks.append((lambda k=k, s=s: multiply(k, s), deps))
+            multiplied[k].append(len(tasks) - 1)
+        add_form(k + _CHUNKS_IN_FLIGHT - 1)
+    blocks.run_graph(tasks, workers)
 
 
 def resample_counts(sample: Sample, plan: BootstrapPlan) -> np.ndarray:
@@ -372,12 +544,12 @@ def ci_plugin(model: DensityModel, grid, alpha: float) -> IntervalResult:
 
 
 def _plain_bootstrap(model: DensityModel, grid, plan: BootstrapPlan):
-    """The grid, p_hat and the (B, m) bootstrap KDE values from one kernel matrix."""
+    """The grid, p_hat and the (B, m) bootstrap KDE values from one walk of
+    the kernel values."""
     grid = estimator._query_matrix(model, grid)
-    phi = estimator.kernel_value_matrix(model, grid)
-    scale = model.n * model.bandwidth**model.dim
-    (boot,) = _replicate_products(plan, [phi])
-    return grid, phi.sum(axis=0) / scale, boot / scale
+    scale, sums = model.n * model.bandwidth**model.dim, []
+    (boot,) = _replicate_products(plan, [estimator.kernel_value_rows(model, grid)], sums)
+    return grid, sums[0] / scale, boot / scale
 
 
 def bootstrap_density_matrix(model: DensityModel, grid: np.ndarray,
@@ -496,14 +668,17 @@ class DebiasedDensity:
         block /= m.n * m.bandwidth**m.dim
         return block
 
+    def correction_rows(self, grid) -> estimator.PairRows:
+        """The rows of the (n, m) per-observation contributions to p_tilde on
+        the grid (read by ``estimator._query_matrix``), K(u) (1 - sigma_k2
+        (||u||^2 - d) / 2) / (n h^d) at u = (x_q - X_i) / h, formed on demand."""
+        return estimator.PairRows(self.model, estimator._query_matrix(self.model, grid),
+                                  self._contributions)
+
     def correction_matrix(self, grid: np.ndarray) -> np.ndarray:
-        """(n, m) per-observation contributions to p_tilde on the grid (read
-        by ``estimator._query_matrix``), K(u) (1 - sigma_k2 (||u||^2 - d) / 2)
-        / (n h^d) at u = (x_q - X_i) / h, filled in place from one kernel pass
-        over blocks of sample rows."""
-        x = estimator._query_matrix(self.model, grid)
-        return estimator._pairs(self.model, x, lambda rows, u: self._contributions(u),
-                                np.empty((self.model.n, x.shape[0])))
+        """(n, m) per-observation contributions to p_tilde on the grid: every
+        row of ``correction_rows``."""
+        return self.correction_rows(grid).matrix()
 
     def evaluate(self, queries) -> np.ndarray:
         """p_tilde at the queries: the column sums of their
@@ -532,9 +707,10 @@ def band_debiased_bootstrap(model: DensityModel, grid, alpha: float,
     """
     _check_bootstrap(alpha, plan)
     grid = estimator._query_matrix(model, grid)
-    contrib = DebiasedDensity(model).correction_matrix(grid)
-    center = contrib.sum(axis=0)
-    (boot,) = _replicate_products(plan, [contrib])
+    sums = []
+    (boot,) = _replicate_products(plan, [DebiasedDensity(model).correction_rows(grid)],
+                                  sums)
+    center = sums[0]
     c = _sup_quantile(boot, center, alpha)
     return BandResult(
         grid=grid, center=center, lower=center - c, upper=center + c,

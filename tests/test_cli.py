@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kdeforge import bandwidth, cli, estimator, geometry, simulate
+from kdeforge import bandwidth, blocks, cli, estimator, geometry, simulate
 from kdeforge.cli import DataError, ingest
 from kdeforge.estimator import DensityModel, EvalGrid, Sample
 from kdeforge.kernels import KernelFamily, KernelSpec
@@ -943,3 +944,52 @@ def test_one_point_grid_exits_cleanly(request, tmp_path, capsys, command):
         warnings.simplefilter("error")
         assert cli.main(_grid_argv(request, tmp_path, command, "1")) in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# --- memory and threads, in fresh processes ---
+
+
+def _run_cli(argv, env=None, preexec_fn=None):
+    """The CLI in a fresh interpreter on this checkout's sources."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**(os.environ if env is None else env), "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "kdeforge.cli", *argv], env=env,
+                          preexec_fn=preexec_fn, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_an_output_too_large_for_memory_is_a_data_error(tmp_path):
+    def limit_address_space():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024, 3_000_000 * 1024))
+
+    path = tmp_path / "bi.csv"
+    path.write_text("x,y\n0,0\n1,1\n0,1\n1,0\n0.5,0.2\n")
+    # the 30 000^2 grid alone would take 6.7 GiB, over the 2.9 GiB limit
+    # one BLAS thread: OpenBLAS reserves buffers for each of its threads
+    out = _run_cli(["density", "--input", str(path), "--grid", "30000",
+                    "--output", str(tmp_path / "density.csv")],
+                   env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                   preexec_fn=limit_address_space)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("data error: Unable to allocate")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.skipif(blocks.cpus() < 2, reason="OpenBLAS runs one thread on one CPU")
+def test_bootstrap_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at these sizes a product on two OpenBLAS threads rounds some replicates
+    # differently from one on one thread, and so moved the band's half-width
+    path = tmp_path / "uni.csv"
+    data = np.random.default_rng(3).normal(size=5000)
+    path.write_text("\n".join(repr(float(v)) for v in data) + "\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    outputs = []
+    for threads in (None, "1"):
+        out = tmp_path / f"band_{threads}.json"
+        run = _run_cli(["band", "--method", "boot", "--input", str(path), "--boot", "400",
+                        "--seed", "4", "--grid", "100", "--output", str(out)],
+                       env={**env, "OPENBLAS_NUM_THREADS": threads} if threads else env)
+        assert run.returncode == 0, run.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -394,3 +395,18 @@ def test_roc_band_validation(rng):
         roc_band(s, s, GAUSS1, 0.3, 0.3, 0.05, BootstrapPlan(replicates=10, seed=0))
     with pytest.raises(ValueError, match="alpha"):
         roc_band(s, s, GAUSS1, 0.3, 0.3, 1.5, BootstrapPlan(replicates=30, seed=0))
+
+
+def test_roc_band_holds_no_matrix_of_terms(rng):
+    healthy = Sample(rng.normal(size=20_000))
+    diseased = Sample(rng.normal(1.0, 1.2, 20_000))
+    tracemalloc.start()
+    try:
+        roc_band(healthy, diseased, GAUSS1, 0.1, 0.12, 0.05, BootstrapPlan(200, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each group's (20 000, 1024) matrix of terms would take 164 MB (326 MB
+    # peak when both were built); the counts take 8 MB, the replicate
+    # tabulations 3.3 MB
+    assert peak < 40 * 2**20

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -322,6 +325,60 @@ def test_split_shares_the_budget_among_workers(monkeypatch, cpus, total, unit,
     # none holds fewer than ``floor`` items
     assert workers * size * unit <= max(floor * unit, budget)
     assert size >= floor
+
+
+def run_graph_within(tasks, workers, seconds=60):
+    """blocks.run_graph(tasks, workers) on a thread joined with a timeout;
+    returns what it raised, or None."""
+    raised = []
+
+    def call():
+        try:
+            blocks.run_graph(tasks, workers)
+        except BaseException as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=call)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "run_graph did not finish"
+    return raised[0] if raised else None
+
+
+def test_run_graph_runs_each_task_after_its_dependencies():
+    # 8 workers on any machine, switching threads every microsecond: a task
+    # that started before one of its dependencies finished would see it
+    # missing from ``finished``
+    picks = random.Random(0)
+    deps = [sorted(picks.sample(range(i), min(i, 3))) for i in range(400)]
+    finished, started = set(), []
+
+    def task(i, fail=None):
+        def fn():
+            started.append(i)
+            if not all(d in finished for d in deps[i]):
+                raise AssertionError(f"task {i} ran before its dependencies")
+            if i == fail:
+                raise error
+            finished.add(i)
+        return fn
+
+    error = ValueError("task")
+    interval, threads = sys.getswitchinterval(), threading.active_count()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run_graph_within([(task(i), d) for i, d in enumerate(deps)], 8) is None
+        assert finished == set(range(400))
+        # a failed task reaches the caller as raised, and no task that needs
+        # it runs
+        finished.clear()
+        started.clear()
+        assert run_graph_within([(task(i, 150), d) for i, d in enumerate(deps)], 8) is error
+        after = {i for i, d in enumerate(deps) if 150 in d}
+        assert after and not after & set(started)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
 
 
 def _sums(order):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from kdeforge import blocks, estimator, inference
+from kdeforge import blocks, distfunc, estimator, inference
 from kdeforge.estimator import DensityModel, Sample
 from kdeforge.inference import (
     BootstrapPlan,
@@ -684,3 +684,135 @@ def test_debias_correction_shrinks_quadratically(rng):
         sups.append(np.max(np.abs(diff)))
     slope = np.polyfit(np.log(hs), np.log(sups), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.3)
+
+
+# --- the bootstrap walk: counts as bytes, contributions a chunk at a time ---
+
+
+def traced_peak(job):
+    """job()'s tracemalloc peak, in bytes."""
+    tracemalloc.start()
+    try:
+        job()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("construct", [band_bootstrap, ci_bootstrap,
+                                       band_debiased_bootstrap])
+def test_bootstraps_hold_the_counts_and_a_few_chunks(rng, construct):
+    model = model_of(rng.normal(size=20_000), 0.14)
+    grid = np.linspace(-4, 4, 256)
+    # 20 MB of uint8 counts and the 2 MB output; the (n, m) contribution
+    # matrix alone would take 41 MB (56 MB peak when it was built)
+    assert traced_peak(lambda: construct(model, grid, 0.05, BootstrapPlan(1000, 3))) \
+        < 32 * 2**20
+
+
+def test_narrow_grids_draw_the_replicates_in_super_blocks(rng):
+    # 2000 * 20 000 bytes of counts would be 40 MB, against a 2.6 MB matrix
+    model = model_of(rng.normal(size=20_000), 0.14)
+    grid, plan = np.linspace(-4, 4, 16), BootstrapPlan(2000, 3)
+    rows = estimator.kernel_value_rows(model, grid)
+    assert len(inference._super_blocks(plan, [rows])) > 1
+    assert traced_peak(lambda: band_bootstrap(model, grid, 0.05, plan)) < 24 * 2**20
+
+
+def row_sources(rng, n, m):
+    """Each row source of the package at n observations and m points, with
+    the matrix that holds all its rows."""
+    model = model_of(rng.normal(size=n), 0.3)
+    x = np.linspace(-3, 3, m)
+    deb = DebiasedDensity(model)
+    return {"kernel": (estimator.kernel_value_rows(model, x),
+                       estimator.kernel_value_matrix(model, x)),
+            "correction": (deb.correction_rows(x), deb.correction_matrix(x)),
+            "cdf": (distfunc._cdf_rows(model, x), distfunc._cdf_terms(model, x))}
+
+
+def assert_sums_close(got, counts, matrix, name):
+    """got is counts @ matrix to a relative 1e-13 of the summed magnitudes,
+    counts @ |matrix| (the correction terms are signed and cancel)."""
+    error = np.abs(got - counts @ matrix)
+    assert (error <= 1e-13 * (counts @ np.abs(matrix))).all(), (name, error.max())
+
+
+@pytest.mark.parametrize("n,m", [(700, 33), (300, 1), (50, 7)])
+def test_row_sources_form_the_rows_of_their_matrix(rng, n, m):
+    for name, (rows, matrix) in row_sources(rng, n, m).items():
+        assert rows.shape == matrix.shape, name
+        for a, b in ((0, n), (0, 1), (n // 3, n // 2 + 1), (n - 1, n)):
+            np.testing.assert_array_equal(rows[a:b], matrix[a:b], err_msg=name)
+
+
+# (n, m, replicates, chunk values): 700 x 33 in 16-row chunks, with the 300
+# replicates in super-blocks of 256 (their 210 kB of counts pass the 185 kB
+# matrix); one column, which is one chunk; a group of one observation
+@pytest.mark.parametrize("n,m,replicates,chunk", [(700, 33, 300, 33 * 16),
+                                                  (700, 33, 40, 33 * 100),
+                                                  (400, 1, 40, 16), (1, 5, 33, 16)])
+def test_chunked_products_match_the_one_shot_product(monkeypatch, rng, n, m,
+                                                     replicates, chunk):
+    monkeypatch.setattr(inference, "_COUNT_BYTES", 0)
+    monkeypatch.setattr(inference, "_CHUNK_ELEMENTS", chunk)
+    plan = BootstrapPlan(replicates, 11)
+    counts = one_shot_counts(plan, [n])[0]
+    for name, (rows, matrix) in row_sources(rng, n, m).items():
+        sums = []
+        (got,) = inference._replicate_products(plan, [rows], sums)
+        assert_sums_close(got, counts, matrix, name)
+        np.testing.assert_array_equal(sums[0], matrix.sum(axis=0), err_msg=name)
+        # an array passed for the rows gives the same bits
+        (from_array,) = inference._replicate_products(plan, [matrix])
+        np.testing.assert_array_equal(from_array, got, err_msg=name)
+
+
+@pytest.mark.parametrize("sizes,replicates", [([700, 300], 129), ([2000], 300)])
+def test_chunked_products_give_the_same_bits_on_any_number_of_workers(
+        monkeypatch, rng, sizes, replicates):
+    # 16-row chunks of 33 columns, product slices of 144, 80 and 48
+    # replicates and draw blocks of 48, 16 and 16 on 1, 2 and 3 workers; 300
+    # replicates of 2000 draws go in super-blocks of 256 (their 600 kB of
+    # counts pass the 528 kB matrix)
+    monkeypatch.setattr(inference, "_CHUNK_ELEMENTS", 33 * 16)
+    monkeypatch.setattr(inference, "_COUNT_BYTES", 0)
+    monkeypatch.setattr(inference, "_PRODUCT_ELEMENTS", 33 * 16 * 40)
+    monkeypatch.setattr(inference, "_COUNT_BLOCK_ELEMENTS", 48 * sum(sizes))
+    x = np.linspace(-3, 3, 33)
+    sources = [estimator.kernel_value_rows(model_of(rng.normal(size=n), 0.3), x)
+               for n in sizes]
+    plan = BootstrapPlan(replicates, 5)
+
+    def job():
+        sums = []
+        return inference._replicate_products(plan, sources, sums), sums
+
+    first, *rest = on_each_worker_count(monkeypatch, job)
+    for other in rest:
+        for got, ref in zip(other[0] + other[1], first[0] + first[1]):
+            np.testing.assert_array_equal(got, ref)
+    for got, counts, source in zip(first[0], one_shot_counts(plan, sizes), sources):
+        assert_sums_close(got, counts, source.matrix(), "kernel")
+
+
+class ConstantWords:
+    """A bit generator whose raw words are all one value."""
+
+    def __init__(self, word):
+        self.word = word
+
+    def random_raw(self, size):
+        return np.full(size, self.word, dtype=np.uint64)
+
+
+def test_counts_a_byte_cannot_hold_are_refused(monkeypatch):
+    # every draw of 301 from the word 2**31 is index 150 (no redraw: 2**31 * 301
+    # mod 2**32 = 2**31), so one count is 301
+    monkeypatch.setattr(inference, "_bit_generators", lambda seed, start, stop: (
+        ConstantWords(0x8000000080000000) for _ in range(start, stop)))
+    plan = BootstrapPlan(20, 0)
+    (counts,) = inference._block_counts(plan, [301], 0, 20)  # float64: held
+    assert (counts[:, 150] == 301).all()
+    with pytest.raises(ValueError, match="256 times"):
+        inference._replicate_products(plan, [np.ones((301, 3))])
