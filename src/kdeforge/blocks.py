@@ -66,7 +66,7 @@ def split(total: int, unit: int, budget: int, floor: int, align: int = 1):
     flight hold what one slice of the whole budget would; w is the number of
     CPUs, or fewer where a slice would hold fewer than ``floor`` items.
     Slices start at multiples of ``align`` (which divides ``floor``), and a
-    lone last item joins the slice before it.
+    lone last item joins the slice before it (``cut``).
     """
     def step(workers):  # an item of no values (no queries) counts as one
         return max(floor, budget // (workers * max(unit, 1)) // align * align)
@@ -74,10 +74,16 @@ def split(total: int, unit: int, budget: int, floor: int, align: int = 1):
     workers = 1
     if step(1) < total - 1 and not _forked:
         workers = max(1, min(cpus(), budget // (floor * unit)))
-    size = step(workers)
-    edges = [0, *range(size, total - 1, size), total]
-    slices = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    slices = cut(total, step(workers))
     return slices, min(workers, len(slices))
+
+
+def cut(total: int, size: int) -> list:
+    """Slices of range(total), ``size`` items each but the last; a lone last
+    item joins the slice before it, so no slice of several holds one item
+    (numpy reduces or multiplies one row by a different rule)."""
+    edges = [0, *range(size, total - 1, size), total]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def run(fn, slices, workers: int) -> None:

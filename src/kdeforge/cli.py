@@ -24,7 +24,7 @@ from .bandwidth import BandwidthSelector, SelectorMethod
 from .estimator import DensityModel, Sample
 from .kernels import KernelSpec
 
-SCHEMA = 1
+SCHEMA = 1  # of every JSON artifact but simulate's report, which is at 2
 
 
 class ConfigError(Exception):
@@ -209,9 +209,11 @@ def _refuse_plan(args, path: str):
             raise ConfigError(f"{flag} is read only by a bootstrap, not by {path}")
 
 
-def _write_json(path: str | None, payload: dict):
+def _write_json(path: str | None, payload: dict, schema: int = SCHEMA):
+    """Write ``payload`` as a JSON artifact, stamped with its ``schema``."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps({**payload, "schema": schema}, indent=2, sort_keys=True,
+                          allow_nan=False)
     except ValueError as exc:  # inf or nan, which JSON cannot hold
         raise DataError(f"non-finite value in the result: {exc}") from exc
     if path:
@@ -251,7 +253,6 @@ def cmd_density(args):
     grid = estimator.evaluate_grid(model, resolution=args.grid)
     if args.format == "json":
         _write_json(args.output, {
-            "schema": SCHEMA,
             "axes": [ax.tolist() for ax in grid.axes],
             "values": grid.values.tolist(),
             "bandwidth": model.bandwidth,
@@ -267,8 +268,7 @@ def cmd_bandwidth(args):
     sample = ingest(args.input)
     kernel = KernelSpec(args.kernel, sample.dim)
     h = select_bandwidth(args, sample, kernel)
-    _write_json(args.output, {"schema": SCHEMA, "bandwidth": h,
-                              "method": args.bandwidth_method})
+    _write_json(args.output, {"bandwidth": h, "method": args.bandwidth_method})
     print(f"bandwidth: method={args.bandwidth_method} h={h:.6g}")
 
 
@@ -397,7 +397,7 @@ def cmd_simulate(args):
     report = simulate.simulate_coverage(
         args.truth, args.n, args.method, args.alpha, args.trials, plan.seed,
         replicates=plan.replicates, grid_size=args.grid)
-    _write_json(args.output, report.to_dict())
+    _write_json(args.output, report.to_dict(), schema=2)
     print(f"simulate: method={report.method} target={report.target} "
           f"coverage={report.coverage:.3f} (nominal {report.nominal:.2f}, "
           f"{report.trials} trials)")

@@ -59,7 +59,7 @@ def _cdf_rows(model: DensityModel, xs) -> estimator.PairRows:
     (read by ``estimator._query_matrix``), formed on demand; the mean of the
     (n, m) matrix over the sample is the smoothed CDF."""
     return estimator.PairRows(model, estimator._query_matrix(model, xs),
-                              lambda u: np.copyto(u[0], integrated(model.kernel, u[0])))
+                              lambda u: integrated(model.kernel, u[0], out=u[0]))
 
 
 def _cdf_terms(model: DensityModel, xs) -> np.ndarray:
@@ -69,16 +69,10 @@ def _cdf_terms(model: DensityModel, xs) -> np.ndarray:
 
 
 def _cdf_values(model: DensityModel, xs) -> np.ndarray:
-    """The smoothed CDF at xs, ``_cdf_terms(model, xs).mean(axis=0)`` bit for
-    bit (see ``estimator._pairs``) without building the (n, m) matrix."""
-    x = estimator._query_matrix(model, xs)
-    out = np.empty(x.shape[0])
-
-    def fill(rows, u):
-        out[rows] = integrated(model.kernel, u[0]).mean(axis=0)
-
-    estimator._pairs(model, x, fill)
-    return out
+    """The smoothed CDF at xs: the column sums of ``_cdf_rows``
+    (``PairRows.sums``) over n, ``_cdf_terms(model, xs).mean(axis=0)`` bit
+    for bit (numpy's mean is that sum over n) without the (n, m) matrix."""
+    return _cdf_rows(model, xs).sums() / model.n
 
 
 def cdf_at(scdf: SmoothedCDF, x) -> float:
@@ -131,8 +125,7 @@ class RocCurve:
     method: str
 
     def to_dict(self) -> dict:
-        return {"schema": 1, "t": self.t.tolist(), "roc": self.values.tolist(),
-                "method": self.method}
+        return {"t": self.t.tolist(), "roc": self.values.tolist(), "method": self.method}
 
 
 def default_t_grid(num: int = 101) -> np.ndarray:

@@ -5,14 +5,15 @@ derivatives up to order two are computed from the analytic Gaussian kernel
 derivatives, scaled by 1 / (n h^(d + |beta|)); the kernel sums go to order
 three, whose moments SCMS's Newton step needs (``geometry``).
 
-Every kernel or CDF term at arbitrary queries comes from one pair pass,
-``_pairs``: it forms the exact offsets u = (x - X_i) / h a slice of about
-_BLOCK_ELEMENTS values at a time, and each caller says only what it does with
-u.  Sums over the sample walk slices of queries; (n, m) matrices walk slices
-of sample rows, in place in their output.  Both run their slices on the CPUs
-this process may use (``blocks``), with the same bits whatever their number.
-A row source (``PairRows``) forms any rows of such a matrix on demand, with
-the same bits, so the bootstraps never hold the whole matrix.
+Every kernel or CDF term at arbitrary queries comes from one row source,
+``PairRows``: a fill says what it does with the exact offsets
+u = (x - X_i) / h, and the source forms any rows of the (n, m) matrix of
+terms, the whole matrix (a slice of sample rows at a time, in place in its
+output), or its column sums without the matrix.  The sums, like the kernel
+sums of ``_kernel_sums``, go through the pair pass ``_pairs``, a slice of
+queries of about _BLOCK_ELEMENTS values at a time.  Both walks run their
+slices on the CPUs this process may use (``blocks``), with the same bits
+whatever their number, so the bootstraps never hold the whole matrix.
 
 Gaussian tensor grids take a second path, ``_factor_sums``.  The
 Gaussian kernel is a product of 1-d kernels, so on a grid with axes a_l the
@@ -151,32 +152,22 @@ def _query_point(model: DensityModel, x) -> np.ndarray:
     return x
 
 
-def _pairs(model: DensityModel, x: np.ndarray, fn, out=None):
-    """The pair pass: fn(rows, u) on each slice of the scaled offsets
-    u_l = (x_jl - X_il) / h of the (m, d) queries ``x``, one array per l.
+def _pairs(model: DensityModel, x: np.ndarray, fn) -> None:
+    """The pair pass: fn(rows, u) on each slice ``rows`` of the (m, d) queries
+    ``x``, with u the scaled offsets u_l = (x_jl - X_il) / h of those queries
+    from all n sample rows, one (n, rows) array per l; fn stores what it
+    reduces over n.
 
-    Given an (n, m) matrix ``out``, slices of sample rows ``rows`` meet every
-    query: u_0 is formed in out[rows], and fn leaves its entries there; the
-    pass returns ``out``.  Otherwise slices of queries ``rows`` meet all n
-    rows, and fn stores what it reduces over n.  A slice holds about
-    _BLOCK_ELEMENTS values on one CPU, that budget shared among the workers
-    on several (see ``blocks``).  numpy sums an (n, 1) array over n pairwise
-    but a wider one row by row, so a slice holds at least two items (a lone
-    last query joins the slice before it): sums over n of query slices then
-    equal those of a single (n, m) array bit for bit, whatever the number of
-    workers.
+    A slice holds about _BLOCK_ELEMENTS values on one CPU, that budget shared
+    among the workers on several (see ``blocks``).  numpy sums an (n, 1)
+    array over n pairwise but a wider one row by row, so a slice holds at
+    least two queries (a lone last query joins the slice before it): sums
+    over n of query slices then equal those of a single (n, m) array bit for
+    bit, whatever the number of workers.
     """
     data = model.sample.data
-
-    def one_slice(rows):
-        if out is None:
-            fn(rows, _offsets(model, x[rows], data))
-        else:
-            fn(rows, _offsets(model, x, data[rows], out[rows]))
-
-    walk = (x.shape[0], model.n) if out is None else (model.n, x.shape[0])
-    blocks.run(one_slice, *blocks.split(*walk, _BLOCK_ELEMENTS, 2))
-    return out
+    blocks.run(lambda rows: fn(rows, _offsets(model, x[rows], data)),
+               *blocks.split(x.shape[0], model.n, _BLOCK_ELEMENTS, 2))
 
 
 def _offsets(model: DensityModel, x: np.ndarray, sample: np.ndarray, block=None) -> list:
@@ -192,15 +183,18 @@ def _offsets(model: DensityModel, x: np.ndarray, sample: np.ndarray, block=None)
 
 
 class PairRows:
-    """An (n, m) matrix of per-pair terms at the (m, d) queries ``x``, its rows
-    formed on demand: ``fill(u)`` leaves the terms of the offsets u of a block
-    of sample rows in u[0] (see ``_pairs``).
+    """An (n, m) matrix of per-pair terms at the (m, d) queries ``x``, formed
+    on demand: ``fill(u)`` leaves the terms of the offsets u of a block of
+    pairs in u[0] (see ``_offsets``).
 
     ``source[a:b]`` forms rows a to b, ``source.form(a, b, out)`` forms them
-    in ``out``, and ``source.matrix()`` forms all n, a slice of rows on each
-    worker; every entry has the same bits whichever forms it, since each is a
-    function of its own offset alone.  A bootstrap takes its rows a chunk at
-    a time (``inference._replicate_products``) and never holds the matrix.
+    in ``out``, ``source.matrix()`` forms all n, a slice of sample rows on
+    each worker, and ``source.sums()`` gives the column sums through the
+    pair pass, a slice of queries on each worker, with the bits of
+    ``matrix().sum(axis=0)`` (see ``_pairs``) and without the matrix.  Every
+    entry has the same bits whichever forms it, since each is a function of
+    its own offset alone.  A bootstrap takes its rows a chunk at a time
+    (``inference._replicate_products``) and never holds the matrix.
     """
 
     def __init__(self, model: DensityModel, x: np.ndarray, fill):
@@ -216,8 +210,20 @@ class PairRows:
         return self.form(start, stop, np.empty((max(stop - start, 0), self.shape[1])))
 
     def matrix(self) -> np.ndarray:
-        return _pairs(self.model, self.x, lambda rows, u: self.fill(u),
-                      np.empty(self.shape))
+        out = np.empty(self.shape)
+        blocks.run(lambda rows: self.form(rows.start, rows.stop, out[rows]),
+                   *blocks.split(*self.shape, _BLOCK_ELEMENTS, 2))
+        return out
+
+    def sums(self) -> np.ndarray:
+        out = np.empty(self.shape[1])
+
+        def reduce(rows, u):
+            self.fill(u)
+            out[rows] = u[0].sum(axis=0)
+
+        _pairs(self.model, self.x, reduce)
+        return out
 
 
 def _squared_norm(u: list, out=None) -> np.ndarray:
@@ -310,15 +316,14 @@ def kernel_value_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:
 def kernel_laplacian_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:
     """(n, m) matrix of (sum_l d^2/du_l^2) K(u) at u = (x_q - X_i) / h."""
     _require_gaussian(model, "laplacian")
-    x = _query_matrix(model, queries)
 
-    def fill(rows, u):
+    def fill(u):
         sq = _squared_norm(u)
         block = evaluate_sq(model.kernel, sq, out=u[0])  # u_0 is not needed again
         sq -= model.dim
         block *= sq
 
-    return _pairs(model, x, fill, np.empty((model.n, len(x))))
+    return PairRows(model, _query_matrix(model, queries), fill).matrix()
 
 
 def density(model: DensityModel, queries) -> np.ndarray:

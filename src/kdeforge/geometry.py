@@ -108,7 +108,14 @@ def _ascend(model: DensityModel, x, step, tol: float, max_iter: int):
     whose shift is shorter than ``tol`` has converged.  Either leaves the
     active set.  ``x`` is an (m, d) query matrix (``estimator._query_matrix``).
     Returns (end points, converged, dropped, iterations) per row.
+
+    A ``tol`` that is not positive (or NaN), or a ``max_iter`` below 1, would
+    converge no row, so it is refused with a ValueError.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     x = x.copy()
     active = np.ones(x.shape[0], dtype=bool)
     dropped = np.zeros(x.shape[0], dtype=bool)

@@ -136,7 +136,6 @@ class IntervalResult:
 
     def to_dict(self) -> dict:
         out = {
-            "schema": 1,
             "grid": self.grid.tolist(),
             "center": self.center.tolist(),
             "lower": self.lower.tolist(),
@@ -271,8 +270,10 @@ def _block_counts(plan: BootstrapPlan, sizes, start: int, stop: int, out=None) -
     Replicates go in chunks of about _RAW_CHUNK_DRAWS draws, whose counts
     ``_raw_counts`` derives from raw PCG64 words; a replicate where numpy
     would redraw a word is redone on ``plan.rng(r)``.  When a chunk would hold
-    one replicate (more than 2**14 draws a replicate), numpy's own loop is as
-    fast, so each replicate draws from its Generator.
+    one replicate (more than 2**14 draws a replicate), each replicate draws
+    from its Generator: numpy's own loop is faster there.  Raw words at
+    every size gave the same bits, but made a ``band_bootstrap`` at n = 20 000
+    about 19 % slower on 2 CPUs (0.210 -> 0.250 s), and no faster on one.
     """
     chunk = _RAW_CHUNK_DRAWS // max(1, sum(n for n in sizes if n > 1))
     counts = [np.empty((stop - start, n)) for n in sizes] if out is None else out
@@ -353,24 +354,21 @@ def _product_slices(rows: int, width: int, workers: int) -> list:
     ``width`` sample rows: the float64 counts of the ``workers`` slices in
     flight hold about _PRODUCT_ELEMENTS values together, and each worker has
     a slice where the replicates suffice.  Slices start at multiples of
-    _ROW_ALIGN, and a lone last replicate joins the slice before it."""
+    _ROW_ALIGN, and a lone last replicate joins the slice before it
+    (``blocks.cut``)."""
     share = _PRODUCT_ELEMENTS // (workers * width) // _ROW_ALIGN * _ROW_ALIGN
     even = -(-rows // (workers * _ROW_ALIGN)) * _ROW_ALIGN
-    step = max(_ROW_ALIGN, min(share, even))
-    edges = [0, *range(step, rows - 1, step), rows]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    return blocks.cut(rows, max(_ROW_ALIGN, min(share, even)))
 
 
 def _super_blocks(plan: BootstrapPlan, contributions) -> list:
     """Slices of the replicates whose counts are drawn at once: all B, unless
     their bytes would pass max(8 sum n_k m_k, _COUNT_BYTES); then aligned
-    blocks of about that many bytes, a lone last replicate joining the
-    block before it."""
+    blocks of about that many bytes (``blocks.cut``)."""
     n = sum(c.shape[0] for c in contributions)
     cap = max(8 * sum(math.prod(c.shape) for c in contributions), _COUNT_BYTES)
-    size = max(_ROW_ALIGN, cap // n // _ROW_ALIGN * _ROW_ALIGN)
-    edges = [0, *range(size, plan.replicates - 1, size), plan.replicates]
-    return [range(a, b) for a, b in zip(edges, edges[1:])]
+    return blocks.cut(plan.replicates,
+                      max(_ROW_ALIGN, cap // n // _ROW_ALIGN * _ROW_ALIGN))
 
 
 def _form_rows(source, start: int, stop: int, out: np.ndarray) -> None:
@@ -386,7 +384,8 @@ def _replicate_products(plan: BootstrapPlan, contributions,
     """(B, m_k) replicate counts @ contributions for each group's (n_k, m_k)
     per-observation contributions, given as arrays or as row sources
     (``estimator.PairRows``); ``sums``, when given, receives each group's
-    column sums of the contributions, the bits of ``matrix.sum(axis=0)``.
+    column sums of the contributions, the bits of ``matrix.sum(axis=0)``;
+    every walk forms them, a super-block after the first again.
 
     The counts of every replicate are drawn once, as one (B, n_k) uint8 array
     per group.  Then the walk forms the contributions one chunk of sample
@@ -411,21 +410,19 @@ def _replicate_products(plan: BootstrapPlan, contributions,
     totals = [np.empty(c.shape[1]) for c in contributions]
     with blocks.one_blas_thread():
         for rows in _super_blocks(plan, contributions):
-            _walk(plan, contributions, rows, [o[rows.start:rows.stop] for o in outs],
-                  totals if sums is not None and rows.start == 0 else None)
+            _walk(plan, contributions, rows, [o[rows] for o in outs], totals)
     if sums is not None:
         sums.extend(totals)
     return outs
 
 
-def _walk(plan: BootstrapPlan, sources, rows: range, outs: list, totals) -> None:
+def _walk(plan: BootstrapPlan, sources, rows: slice, outs: list, totals: list) -> None:
     """Draw the counts of replicates ``rows`` and add each chunk's products
     into ``outs`` (their rows of the output), and each chunk's column sums
-    into ``totals`` when given: the job that ``_replicate_products``
-    describes."""
-    sizes = [s.shape[0] for s in sources]
-    counts = [np.empty((len(rows), n), dtype=np.uint8) for n in sizes]
-    draws, workers = _count_slices(plan, sizes, len(rows))
+    into ``totals``: the job that ``_replicate_products`` describes."""
+    sizes, replicates = [s.shape[0] for s in sources], rows.stop - rows.start
+    counts = [np.empty((replicates, n), dtype=np.uint8) for n in sizes]
+    draws, workers = _count_slices(plan, sizes, replicates)
     chunks, widths = [], []  # (group, start, stop) of each chunk; each group's widest
     for g, source in enumerate(sources):
         n, m = source.shape
@@ -434,9 +431,9 @@ def _walk(plan: BootstrapPlan, sources, rows: range, outs: list, totals) -> None
         widths.append(min(step, n))
         # as many workers as the draws, the forms or the products would take
         workers = max(workers, blocks.split(n, m, _CHUNK_ELEMENTS, 1)[1],
-                      blocks.split(len(rows), widths[-1], _PRODUCT_ELEMENTS,
+                      blocks.split(replicates, widths[-1], _PRODUCT_ELEMENTS,
                                    _ROW_ALIGN, _ROW_ALIGN)[1])
-    products = [_product_slices(len(rows), width, workers) for width in widths]
+    products = [_product_slices(replicates, width, workers) for width in widths]
     slots = [np.empty(max((b - a + 1) * sources[g].shape[1] for g, a, b in chunks))
              for _ in range(min(_CHUNKS_IN_FLIGHT, len(chunks)))]
 
@@ -449,9 +446,9 @@ def _walk(plan: BootstrapPlan, sources, rows: range, outs: list, totals) -> None
         g, a, b = chunks[k]
         chunk = chunk_rows(k)
         _form_rows(sources[g], a, b, chunk[1:])
-        if totals is not None and a == 0:
+        if a == 0:
             np.sum(chunk[1:], axis=0, out=totals[g])
-        elif totals is not None:
+        else:
             chunk[0] = totals[g]  # the running sum, added first
             np.sum(chunk, axis=0, out=totals[g])
 
@@ -546,10 +543,10 @@ def ci_plugin(model: DensityModel, grid, alpha: float) -> IntervalResult:
 def _plain_bootstrap(model: DensityModel, grid, plan: BootstrapPlan):
     """The grid, p_hat and the (B, m) bootstrap KDE values from one walk of
     the kernel values."""
-    grid = estimator._query_matrix(model, grid)
-    scale, sums = model.n * model.bandwidth**model.dim, []
-    (boot,) = _replicate_products(plan, [estimator.kernel_value_rows(model, grid)], sums)
-    return grid, sums[0] / scale, boot / scale
+    rows, sums = estimator.kernel_value_rows(model, grid), []
+    (boot,) = _replicate_products(plan, [rows], sums)
+    scale = model.n * model.bandwidth**model.dim
+    return rows.x, sums[0] / scale, boot / scale
 
 
 def bootstrap_density_matrix(model: DensityModel, grid: np.ndarray,
@@ -682,16 +679,9 @@ class DebiasedDensity:
 
     def evaluate(self, queries) -> np.ndarray:
         """p_tilde at the queries: the column sums of their
-        ``correction_matrix`` bit for bit (see ``estimator._pairs``), without
-        building it."""
-        x = estimator._query_matrix(self.model, queries)
-        out = np.empty(x.shape[0])
-
-        def fill(rows, u):
-            out[rows] = self._contributions(u).sum(axis=0)
-
-        estimator._pairs(self.model, x, fill)
-        return out
+        ``correction_rows`` (``PairRows.sums``), those of
+        ``correction_matrix`` bit for bit, without building it."""
+        return self.correction_rows(queries).sums()
 
     def __call__(self, x) -> float:
         return float(self.evaluate(estimator._query_point(self.model, x))[0])
@@ -706,14 +696,12 @@ def band_debiased_bootstrap(model: DensityModel, grid, alpha: float,
     curve.  Targets the true density; generally wider than ``band_bootstrap``.
     """
     _check_bootstrap(alpha, plan)
-    grid = estimator._query_matrix(model, grid)
-    sums = []
-    (boot,) = _replicate_products(plan, [DebiasedDensity(model).correction_rows(grid)],
-                                  sums)
+    rows, sums = DebiasedDensity(model).correction_rows(grid), []
+    (boot,) = _replicate_products(plan, [rows], sums)
     center = sums[0]
     c = _sup_quantile(boot, center, alpha)
     return BandResult(
-        grid=grid, center=center, lower=center - c, upper=center + c,
+        grid=rows.x, center=center, lower=center - c, upper=center + c,
         alpha=alpha, method="band-debiased", target="true", halfwidth=c,
         center_clipped=np.maximum(center, 0.0),
     )

@@ -79,15 +79,16 @@ def evaluate_sq(spec: KernelSpec, sq: np.ndarray, out=None) -> np.ndarray:
     return np.divide(sq <= 1.0, spec.normalizer, out=out)
 
 
-def integrated(spec: KernelSpec, u) -> np.ndarray:
+def integrated(spec: KernelSpec, u, out=None) -> np.ndarray:
     """CDF of the 1-d kernel, the integral of K from -inf to u, elementwise:
-    Phi(u) for Gaussian, the ramp clip((u + 1) / 2, 0, 1) for spherical."""
+    Phi(u) for Gaussian, the ramp clip((u + 1) / 2, 0, 1) for spherical;
+    written to ``out`` when it is given (which may be u itself)."""
     if spec.dim != 1:
         raise ValueError(f"integrated kernel requires d = 1, got {spec.dim}")
     if spec.family is KernelFamily.GAUSSIAN:
         from scipy.special import ndtr
-        return ndtr(u)
-    return np.clip((u + 1.0) / 2.0, 0.0, 1.0)
+        return ndtr(u, out=out)
+    return np.clip((u + 1.0) / 2.0, 0.0, 1.0, out=out)
 
 
 def constants(spec: KernelSpec) -> dict:

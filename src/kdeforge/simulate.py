@@ -48,32 +48,44 @@ def _check_normal(mean: float, sd: float, suffix: str = ""):
         raise ValueError(f"sd{suffix} must be positive, got {sd}")
 
 
+class _NormalComponents:
+    """The density, smoothed density and central region of a truth made of
+    the normal components (weight, mean, sd) that ``_components`` gives."""
+
+    def pdf(self, x: np.ndarray) -> np.ndarray:
+        return self.smoothed_pdf(x, 0.0)
+
+    def smoothed_pdf(self, x: np.ndarray, h: float) -> np.ndarray:
+        out = np.zeros_like(np.asarray(x, dtype=float))
+        for w, mu, sd in self._components():
+            s = np.sqrt(sd**2 + h**2) if h else sd  # sd**2 may underflow
+            z = (x - mu) / s
+            out = out + w * np.exp(-0.5 * z * z) / (s * np.sqrt(2 * np.pi))
+        return out
+
+    def central_region(self):
+        components = self._components()
+        return (min(mu - 3 * sd for _, mu, sd in components),
+                max(mu + 3 * sd for _, mu, sd in components))
+
+
 @dataclass(frozen=True)
-class NormalTruth:
+class NormalTruth(_NormalComponents):
     mean: float = 0.0
     sd: float = 1.0
 
     def __post_init__(self):
         _check_normal(self.mean, self.sd)
 
+    def _components(self):
+        return ((1.0, self.mean, self.sd),)
+
     def sample(self, rng: np.random.Generator, n: int) -> Sample:
         return Sample(rng.normal(self.mean, self.sd, size=n))
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        z = (x - self.mean) / self.sd
-        return np.exp(-0.5 * z * z) / (self.sd * np.sqrt(2 * np.pi))
-
-    def smoothed_pdf(self, x: np.ndarray, h: float) -> np.ndarray:
-        s = np.sqrt(self.sd**2 + h**2)
-        z = (x - self.mean) / s
-        return np.exp(-0.5 * z * z) / (s * np.sqrt(2 * np.pi))
-
-    def central_region(self):
-        return self.mean - 3 * self.sd, self.mean + 3 * self.sd
-
 
 @dataclass(frozen=True)
-class NormalMixtureTruth:
+class NormalMixtureTruth(_NormalComponents):
     weight: float
     mean1: float
     mean2: float
@@ -97,22 +109,6 @@ class NormalMixtureTruth:
                      rng.normal(self.mean2, self.sd2, n))
         return Sample(x)
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        return self.smoothed_pdf(x, 0.0)
-
-    def smoothed_pdf(self, x: np.ndarray, h: float) -> np.ndarray:
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for w, mu, sd in self._components():
-            s = np.sqrt(sd**2 + h**2)
-            z = (x - mu) / s
-            out = out + w * np.exp(-0.5 * z * z) / (s * np.sqrt(2 * np.pi))
-        return out
-
-    def central_region(self):
-        lo = min(self.mean1 - 3 * self.sd1, self.mean2 - 3 * self.sd2)
-        hi = max(self.mean1 + 3 * self.sd1, self.mean2 + 3 * self.sd2)
-        return lo, hi
-
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -127,7 +123,6 @@ class CoverageReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 2,
             "method": self.method,
             "target": self.target,
             "nominal": self.nominal,

@@ -50,7 +50,6 @@ class ClusterTree:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
             "nodes": [
                 {
                     "id": n.id,

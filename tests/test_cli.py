@@ -371,6 +371,22 @@ def test_modes_subcommand(tmp_path, bimodal_csv, capsys):
     assert "found 2 local modes (400/400 starts converged)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("modes", ["--tol", "0"], "tol must be positive, got 0.0"),
+    ("modes", ["--max-iter", "0"], "max_iter must be at least 1, got 0"),
+    ("ridge", ["--tol", "nan"], "tol must be positive, got nan"),
+    ("ridge", ["--max-iter", "0"], "max_iter must be at least 1, got 0"),
+])
+def test_iteration_controls_that_cannot_converge_are_config_errors(
+        tmp_path, rng, capsys, command, flags, message):
+    p = tmp_path / "bi.csv"
+    np.savetxt(p, rng.normal(size=(40, 2)), delimiter=",")
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--input", str(p), *flags, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_modes_rejects_spherical_kernel(bimodal_csv, capsys):
     assert cli.main(["modes", "--input", bimodal_csv, "--kernel", "spherical"]) == 2
     assert "Gaussian kernel" in capsys.readouterr().err
@@ -624,6 +640,28 @@ def test_simulate_subcommand(tmp_path, capsys):
     assert payload["trials"] == 5
     assert 0.0 <= payload["coverage"] <= 1.0
     assert cli.main(["simulate", "--trials", "2"]) == 2  # seed required
+    capsys.readouterr()
+
+
+JSON_ARTIFACTS = [  # (argv, input fixture, schema) of each JSON artifact
+    (["density", "--grid", "16", "--format", "json"], "normal_csv", 1),
+    (["bandwidth"], "normal_csv", 1),
+    (["ci", "--grid", "16"], "normal_csv", 1),
+    (["band", "--grid", "16", "--boot", "30", "--seed", "3"], "normal_csv", 1),
+    (["tree", "--grid", "16"], "bimodal_csv", 1),
+    (["simulate", "--truth", "normal", "--n", "100", "--method", "ci-plugin",
+      "--trials", "2", "--boot", "30", "--grid", "16", "--seed", "1"], None, 2),
+]
+
+
+@pytest.mark.parametrize("argv,fixture,schema", JSON_ARTIFACTS,
+                         ids=[argv[0] for argv, _, _ in JSON_ARTIFACTS])
+def test_json_artifacts_carry_their_schema(tmp_path, request, capsys, argv, fixture,
+                                           schema):
+    out = tmp_path / "out.json"
+    inputs = [] if fixture is None else ["--input", request.getfixturevalue(fixture)]
+    assert cli.main([*argv, *inputs, "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["schema"] == schema
     capsys.readouterr()
 
 

@@ -263,9 +263,7 @@ def test_roc_endpoints_and_monotonicity(rng):
     assert roc.values[-1] == 1.0
     assert np.all(np.diff(roc.values) >= -1e-9)
     assert np.all((roc.values >= 0) & (roc.values <= 1))
-    d = roc.to_dict()
-    assert d["schema"] == 1
-    assert d["method"] == "smoothed"
+    assert roc.to_dict()["method"] == "smoothed"
 
 
 @pytest.mark.parametrize("kernel", [GAUSS1, SPHERE1], ids=["gaussian", "spherical"])

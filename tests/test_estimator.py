@@ -385,7 +385,8 @@ def _sums(order):
     return lambda model, x: estimator._kernel_sums(model, x, order)
 
 
-# Every fill of the pair pass: its results at the (m, d) queries x, whether
+# Every fill of the pair pass and of the row sources' matrix walk
+# (``PairRows.matrix``): its results at the (m, d) queries x, whether
 # it is an (n, m) matrix (else a reduction over n, one entry per query), and
 # the module and name of the function its slices call.
 PASS_FILLS = {
@@ -395,6 +396,8 @@ PASS_FILLS = {
     "kernel_sums_3": (_sums(3), False, estimator, "evaluate_sq"),
     "kernel_value_matrix": (lambda model, x: (estimator.kernel_value_matrix(model, x),),
                             True, estimator, "evaluate_sq"),
+    "kernel_value_sums": (lambda model, x: (estimator.kernel_value_rows(model, x).sums(),),
+                          False, estimator, "evaluate_sq"),
     "kernel_laplacian_matrix": (
         lambda model, x: (estimator.kernel_laplacian_matrix(model, x),),
         True, estimator, "evaluate_sq"),

@@ -53,6 +53,22 @@ def test_mean_shift_requires_gaussian(rng):
         mean_shift(sph, [0.0])
 
 
+@pytest.mark.parametrize("controls,message", [
+    (dict(tol=0.0), "tol must be positive, got 0.0"),
+    (dict(tol=-1.0), "tol must be positive, got -1.0"),
+    (dict(tol=float("nan")), "tol must be positive, got nan"),
+    (dict(max_iter=0), "max_iter must be at least 1, got 0"),
+])
+def test_iteration_controls_that_cannot_converge_are_refused(rng, controls, message):
+    # each would end with no start converged, not with a result
+    model = DensityModel(Sample(rng.normal(size=(60, 2))), GAUSS2, 0.6)
+    for run in (lambda: mean_shift(model, [0.0, 0.0], **controls),
+                lambda: find_modes(model, **controls),
+                lambda: scms(model, **controls)):
+        with pytest.raises(ValueError, match=message):
+            run()
+
+
 def test_mean_shift_nonconvergence_flag(rng):
     model = DensityModel(Sample(bimodal_sample(rng)), GAUSS1, 0.7)
     _, converged, iters = mean_shift(model, [10.0], tol=1e-12, max_iter=2)

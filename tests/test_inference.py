@@ -458,9 +458,7 @@ def test_interval_invariants(rng):
                 ci_bootstrap(model, grid, 0.05, plan)):
         assert np.all(res.lower <= res.center)
         assert np.all(res.center <= res.upper)
-        d = res.to_dict()
-        assert d["schema"] == 1
-        assert d["alpha"] == 0.05
+        assert res.to_dict()["alpha"] == 0.05
 
 
 def test_alpha_validation(rng):
@@ -666,9 +664,7 @@ def test_band_debiased_bootstrap_properties(rng):
     plain = band_bootstrap(model, grid, 0.05, plan)
     assert band.halfwidth > plain.halfwidth
 
-    d = band.to_dict()
-    assert d["schema"] == 1
-    assert d["halfwidth"] == band.halfwidth
+    assert band.to_dict()["halfwidth"] == band.halfwidth
 
 
 def test_debias_correction_shrinks_quadratically(rng):
@@ -744,6 +740,8 @@ def test_row_sources_form_the_rows_of_their_matrix(rng, n, m):
         assert rows.shape == matrix.shape, name
         for a, b in ((0, n), (0, 1), (n // 3, n // 2 + 1), (n - 1, n)):
             np.testing.assert_array_equal(rows[a:b], matrix[a:b], err_msg=name)
+        # the column sums through the pair pass, without the matrix
+        np.testing.assert_array_equal(rows.sums(), matrix.sum(axis=0), err_msg=name)
 
 
 # (n, m, replicates, chunk values): 700 x 33 in 16-row chunks, with the 300
