@@ -421,7 +421,7 @@ def laplacian_squared_integral(model: estimator.DensityModel) -> float:
     axes = estimator.default_axes(model, resolution=512 if model.dim == 1 else 128,
                                   padding=4.0)
     lap = sum(estimator._factor_sums(model, axes, second=l) for l in range(model.dim))
-    lap /= model.n * model.bandwidth ** (model.dim + 2) * model.kernel.normalizer
+    lap /= model.n * estimator._bandwidth_power(model, model.dim + 2) * model.kernel.normalizer
     sq = np.square(lap)
     for ax in reversed(axes):
         sq = np.trapezoid(sq, ax, axis=-1)

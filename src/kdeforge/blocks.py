@@ -71,11 +71,17 @@ def split(total: int, unit: int, budget: int, floor: int, align: int = 1):
     def step(workers):  # an item of no values (no queries) counts as one
         return max(floor, budget // (workers * max(unit, 1)) // align * align)
 
-    workers = 1
-    if step(1) < total - 1 and not _forked:
-        workers = max(1, min(cpus(), budget // (floor * unit)))
+    if step(1) >= total - 1:
+        return [slice(0, total)], 1
+    workers = workers_for(budget // (floor * unit))
     slices = cut(total, step(workers))
     return slices, min(workers, len(slices))
+
+
+def workers_for(items: int) -> int:
+    """The workers a job of ``items`` independent items may use: one per CPU,
+    at most one per item, and one inside ``run_forked``."""
+    return 1 if _forked else max(1, min(cpus(), items))
 
 
 def cut(total: int, size: int) -> list:
@@ -154,8 +160,8 @@ def run_graph(tasks, workers: int) -> None:
 def _fork_workers(total: int) -> int:
     """How many processes run_forked may use for ``total`` items: one per CPU,
     at most one per item, and one where forking is unavailable or unsafe."""
-    workers = min(cpus(), total)
-    if workers < 2 or _forked:
+    workers = workers_for(total)
+    if workers < 2:
         return 1
     import multiprocessing  # here, not at the top: see run
     if ("fork" not in multiprocessing.get_all_start_methods()

@@ -224,15 +224,17 @@ def _write_json(path: str | None, payload: dict, schema: int = SCHEMA):
 
 
 def _write_csv(path: str | None, header: list, columns):
-    """Write equal-length columns under ``header``, one row format for all
-    rows: integer and boolean columns as integers, string columns as they
+    """Write equal-length columns under ``header``, each column formatted
+    once: integer and boolean columns as integers, string columns as they
     are, the rest as the repr of a Python float (full precision, no numpy
     scalar reprs)."""
-    columns = [np.asarray(c) for c in columns]
-    kinds = {"b": "%d", "i": "%d", "u": "%d", "O": "%s", "U": "%s"}
-    fmt = ",".join(kinds.get(c.dtype.kind, "%r") for c in columns) + "\n"
-    text = ",".join(header) + "\n" + "".join(
-        map(fmt.__mod__, zip(*[c.tolist() for c in columns])))
+    cells = []
+    for c in map(np.asarray, columns):
+        if c.dtype.kind in "biu":
+            cells.append(map(str, c.astype(np.int64).tolist()))
+        else:
+            cells.append(c.tolist() if c.dtype.kind in "OU" else map(repr, c.tolist()))
+    text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -482,10 +484,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # main's parser, built on its first call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -10,10 +10,12 @@ Every kernel or CDF term at arbitrary queries comes from one row source,
 u = (x - X_i) / h, and the source forms any rows of the (n, m) matrix of
 terms, the whole matrix (a slice of sample rows at a time, in place in its
 output), or its column sums without the matrix.  The sums, like the kernel
-sums of ``_kernel_sums``, go through the pair pass ``_pairs``, a slice of
-queries of about _BLOCK_ELEMENTS values at a time.  Both walks run their
-slices on the CPUs this process may use (``blocks``), with the same bits
-whatever their number, so the bootstraps never hold the whole matrix.
+sums of ``_kernel_sums``, go through the pair pass ``_pairs``: each worker
+takes a slice of queries and walks the sample in cache-sized tiles, formed
+in one scratch area, each tile carrying the running sums in its first row.
+Both walks run their slices on the CPUs this process may use (``blocks``),
+with the same bits whatever their number, so the bootstraps never hold the
+whole matrix.
 
 Gaussian tensor grids take a second path, ``_factor_sums``.  The
 Gaussian kernel is a product of 1-d kernels, so on a grid with axes a_l the
@@ -40,10 +42,19 @@ from .kernels import KernelFamily, KernelSpec, UnsupportedDerivativeError, evalu
 # this radius for its near-pair ratio.
 TRUNCATION_RADIUS = 6.0
 
-# Each slice temporary of the pair pass holds about this many float64 values
-# (2 MB), whatever the number of queries; with several workers, the
-# temporaries of all the slices in flight do.
+# A slice of the row sources' matrix walk holds about this many float64
+# values (2 MB), and a query slice of the pair pass this many pairs, whatever
+# the number of queries; with several workers, all the slices in flight do.
 _BLOCK_ELEMENTS = 2**18
+
+# Each array of a pair-pass tile holds about this many values (256 KB), so
+# that a tile's offsets, norms and kernel values stay in cache.
+_TILE_ELEMENTS = 2**15
+
+# A query slice of the pair pass spans this many times _BLOCK_ELEMENTS pairs
+# (at most _TILE_ELEMENTS queries): its tiles bound its memory, and the wider
+# a slice, the longer the rows numpy's broadcasts and reductions loop over.
+_SLICE_BLOCKS = 4
 
 # The grid path sets per-axis factors below exp(-_FLUSH_EXPONENT / d) to 0, so
 # no product of d factors is subnormal (subnormal arithmetic runs many times
@@ -152,22 +163,52 @@ def _query_point(model: DensityModel, x) -> np.ndarray:
     return x
 
 
-def _pairs(model: DensityModel, x: np.ndarray, fn) -> None:
-    """The pair pass: fn(rows, u) on each slice ``rows`` of the (m, d) queries
-    ``x``, with u the scaled offsets u_l = (x_jl - X_il) / h of those queries
-    from all n sample rows, one (n, rows) array per l; fn stores what it
-    reduces over n.
+def _pairs(model: DensityModel, x: np.ndarray, fn, scratch: int = 0) -> None:
+    """The pair pass: each worker takes a slice ``rows`` of the (m, d) queries
+    ``x`` (about _SLICE_BLOCKS * _BLOCK_ELEMENTS / n of them, that budget
+    shared among the workers, see ``blocks``) and walks the sample in tiles
+    of about _TILE_ELEMENTS pairs: fn(rows, tile) on the first tile,
+    fn(rows, tile, True) on each later one.  tile[l] holds the scaled offsets
+    u_l = (x_jl - X_il) / h of the tile's r rows, (r, b), then come
+    ``scratch`` more (r, b) arrays for fn, all in one area that every tile
+    of the slice reuses; fn stores what it reduces over the rows.  A later
+    tile starts one sample row early, the row 0 in which fn carries its
+    running sums (``_add_rows``).
 
-    A slice holds about _BLOCK_ELEMENTS values on one CPU, that budget shared
-    among the workers on several (see ``blocks``).  numpy sums an (n, 1)
-    array over n pairwise but a wider one row by row, so a slice holds at
-    least two queries (a lone last query joins the slice before it): sums
-    over n of query slices then equal those of a single (n, m) array bit for
-    bit, whatever the number of workers.
+    numpy sums an (n, 1) array over n pairwise but a wider one row by row,
+    so a slice holds at least two queries (a lone last query joins the slice
+    before it), and a lone query is one tile of all n rows: sums over n then
+    have the bits of a single (n, m) array, whatever the workers and tiles.
     """
-    data = model.sample.data
-    blocks.run(lambda rows: fn(rows, _offsets(model, x[rows], data)),
-               *blocks.split(x.shape[0], model.n, _BLOCK_ELEMENTS, 2))
+    data, h = model.sample.data, model.bandwidth
+    n, d = data.shape
+
+    def walk(rows):
+        xq = x[rows]
+        step = n if xq.shape[0] < 2 else max(1, _TILE_ELEMENTS // xq.shape[0])
+        work = list(np.empty((d + scratch, min(step + 1, n), xq.shape[0])))
+        for start in range(0, n, step):
+            lo, stop = max(start - 1, 0), min(start + step, n)
+            tile = work if stop - lo == n else [a[:stop - lo] for a in work]
+            for l in range(d):
+                np.subtract(xq[:, l], data[lo:stop, l:l + 1], out=tile[l])
+                tile[l] /= h
+            fn(rows, tile, True) if start else fn(rows, tile)
+
+    budget = _SLICE_BLOCKS * _BLOCK_ELEMENTS  # at most _TILE_ELEMENTS queries a slice
+    blocks.run(walk, *blocks.split(x.shape[0], max(n, budget // _TILE_ELEMENTS), budget, 2))
+
+
+def _add_rows(out: np.ndarray, a: np.ndarray, b=None, carry: bool = False) -> None:
+    """Store in ``out`` the sum over the rows of ``a``, or of a * b by einsum
+    when ``b`` is given, numpy's row-by-row sum.  On a tile that carries (see
+    ``_pairs``), row 0 of ``a`` first takes the running sum in ``out`` and row
+    0 of ``b`` takes 1.0, so the sum goes on from it with the same bits."""
+    if carry:
+        a[0] = out
+        if b is not None:
+            b[0] = 1.0
+    out[...] = a.sum(axis=0) if b is None else np.einsum("ij,ij->j", a, b)
 
 
 def _offsets(model: DensityModel, x: np.ndarray, sample: np.ndarray, block=None) -> list:
@@ -190,11 +231,11 @@ class PairRows:
     ``source[a:b]`` forms rows a to b, ``source.form(a, b, out)`` forms them
     in ``out``, ``source.matrix()`` forms all n, a slice of sample rows on
     each worker, and ``source.sums()`` gives the column sums through the
-    pair pass, a slice of queries on each worker, with the bits of
-    ``matrix().sum(axis=0)`` (see ``_pairs``) and without the matrix.  Every
-    entry has the same bits whichever forms it, since each is a function of
-    its own offset alone.  A bootstrap takes its rows a chunk at a time
-    (``inference._replicate_products``) and never holds the matrix.
+    pair pass, a slice of queries on each worker, a tile at a time, with the
+    bits of ``matrix().sum(axis=0)`` (see ``_pairs``) and without the
+    matrix.  Every entry has the same bits whichever forms it, since each is
+    a function of its own offset alone.  A bootstrap takes its rows a chunk
+    at a time (``inference._replicate_products``) and never holds the matrix.
     """
 
     def __init__(self, model: DensityModel, x: np.ndarray, fill):
@@ -218,20 +259,21 @@ class PairRows:
     def sums(self) -> np.ndarray:
         out = np.empty(self.shape[1])
 
-        def reduce(rows, u):
+        def reduce(rows, u, carry=False):
             self.fill(u)
-            out[rows] = u[0].sum(axis=0)
+            _add_rows(out[rows], u[0], carry=carry)
 
         _pairs(self.model, self.x, reduce)
         return out
 
 
-def _squared_norm(u: list, out=None) -> np.ndarray:
+def _squared_norm(u, out=None, tmp=None) -> np.ndarray:
     """sum_l u_l^2 of the offsets ``u``, accumulated one coordinate at a time,
-    in ``out`` when it is given (which may be u[0] itself)."""
+    in ``out`` when it is given (which may be u[0] itself), each square after
+    the first formed in ``tmp`` when it is given."""
     sq = np.square(u[0], out=out)
     for ul in u[1:]:
-        sq += np.square(ul)
+        sq += np.square(ul, out=tmp)
     return sq
 
 
@@ -244,31 +286,34 @@ def _kernel_sums(model: DensityModel, x: np.ndarray, order: int):
     the order asked for.
 
     ``x`` is an (m, d) array of finite queries (see ``_query_matrix``).  No
-    (n, m, d) array is built.
+    (n, m, d) array is built: the pair pass forms the offsets, norms, kernel
+    values and their products a tile at a time in one scratch area, and
+    each sum carries on from tile to tile (``_pairs``).
     """
     m, d = x.shape
     sums = [np.empty((m,) + (d,) * k) for k in range(order + 1)]
     distinct = np.empty((m, math.comb(d + 2, 3) if order == 3 else 0))  # s3 at l >= j >= i
 
-    def fill(rows, u):
-        sq = _squared_norm(u)
-        k = evaluate_sq(model.kernel, sq, out=sq)  # sq is not needed again
-        sums[0][rows] = k.sum(axis=0)
+    def fill(rows, tile, carry=False):
+        u, (k, ku, kuu) = tile[:d], tile[d:]
+        evaluate_sq(model.kernel, _squared_norm(u, out=k, tmp=ku), out=k)
+        _add_rows(sums[0][rows], k, carry=carry)
         entry = 0
         for l in range(d if order >= 1 else 0):
-            sums[1][rows, l] = np.einsum("ij,ij->j", k, u[l])
+            _add_rows(sums[1][rows, l], k, u[l], carry)
             if order >= 2:
-                ku = k * u[l]
+                np.multiply(k, u[l], out=ku)
                 for j in range(l + 1):
-                    sums[2][rows, l, j] = sums[2][rows, j, l] = np.einsum(
-                        "ij,ij->j", ku, u[j])
+                    _add_rows(sums[2][rows, l, j], ku, u[j], carry)
                     if order == 3:
-                        kuu = ku * u[j]
+                        np.multiply(ku, u[j], out=kuu)
                         for i in range(j + 1):
-                            distinct[rows, entry] = np.einsum("ij,ij->j", kuu, u[i])
+                            _add_rows(distinct[rows, entry], kuu, u[i], carry)
                             entry += 1
 
-    _pairs(model, x, fill)
+    _pairs(model, x, fill, 3)
+    for j, l in itertools.combinations(range(d if order >= 2 else 0), 2):
+        sums[2][:, j, l] = sums[2][:, l, j]  # s2 is symmetric
     if order == 3:
         sums[3] = distinct[:, _symmetric_entries(d)].reshape(m, d, d, d)
     return tuple(sums)
@@ -284,16 +329,29 @@ def _symmetric_entries(d: int) -> list:
             for index in itertools.product(range(d), repeat=3)]
 
 
+class DataRangeError(ValueError):
+    """The data's range, or a power of the bandwidth, overflows float64."""
+
+
+def _bandwidth_power(model: DensityModel, k: int) -> float:
+    """h^k, refused with a DataRangeError where it overflows float64."""
+    try:
+        return float(model.bandwidth) ** k
+    except OverflowError:
+        raise DataRangeError(f"h^{k} overflows float64 (h = {model.bandwidth:g}, "
+                             f"d = {model.dim})") from None
+
+
 def _gradients(model: DensityModel, s1: np.ndarray) -> np.ndarray:
     """KDE gradients from the first-order kernel sums."""
-    return s1 / (-model.n * model.bandwidth ** (model.dim + 1))
+    return s1 / (-model.n * _bandwidth_power(model, model.dim + 1))
 
 
 def _hessians(model: DensityModel, s0: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """KDE Hessians from the zeroth- and second-order kernel sums."""
     eye = np.eye(model.dim)
     return (s2 - s0[:, None, None] * eye) / (
-        model.n * model.bandwidth ** (model.dim + 2))
+        model.n * _bandwidth_power(model, model.dim + 2))
 
 
 def kernel_value_rows(model: DensityModel, queries) -> PairRows:
@@ -329,7 +387,7 @@ def kernel_laplacian_matrix(model: DensityModel, queries: np.ndarray) -> np.ndar
 def density(model: DensityModel, queries) -> np.ndarray:
     """KDE values at an (m, d) array of query points."""
     (s0,) = _kernel_sums(model, _query_matrix(model, queries), 0)
-    return s0 / (model.n * model.bandwidth**model.dim)
+    return s0 / (model.n * _bandwidth_power(model, model.dim))
 
 
 def density_at(model: DensityModel, x) -> float:
@@ -379,10 +437,6 @@ def hessian_at(model: DensityModel, x) -> np.ndarray:
     return _hessians(model, s0, s2)[0]
 
 
-class DataRangeError(ValueError):
-    """The data's range, padded by the bandwidth, overflows float64."""
-
-
 def default_axes(model: DensityModel, resolution: int = 256, padding: float = 3.0):
     """Per-axis breakpoints spanning the data range +/- ``padding * h``."""
     data = model.sample.data
@@ -417,30 +471,66 @@ def _factor_sums(model: DensityModel, axes, second: int | None = None) -> np.nda
     blocks of sample rows whose factor matrices and partial products hold
     about _BLOCK_ELEMENTS values each: per block, A.sum(0) in 1-d, A.T @ B in
     2-d, and in d > 2 the row-wise outer product of all but the last factor
-    times the last.
+    times the last.  The blocks are formed on every CPU, each in the scratch
+    of a finished one, with OpenBLAS on one thread, and added in block
+    order, so the sum has the same bits on any number of workers.
     """
     data = model.sample.data
     h = model.bandwidth
     sizes = [ax.size for ax in axes]
     step = max(1, _BLOCK_ELEMENTS // max(1, *sizes, math.prod(sizes[:-1])))
     flush_sq = 2.0 * _FLUSH_EXPONENT / len(axes)
-    total = 0.0
-    for start in range(0, data.shape[0], step):
-        factors = []
-        for l, ax in enumerate(axes):
-            sq = ax - data[start:start + step, l:l + 1]
-            sq /= h
-            sq *= sq
-            f = np.exp(-0.5 * np.minimum(sq, flush_sq))  # never subnormal
-            f[sq > flush_sq] = 0.0
+    starts = range(0, data.shape[0], step)
+    parts, total, free = [None] * len(starts), [0.0], []  # free: scratch of finished forms
+    rows_max, widest = min(step, data.shape[0]), max(sizes)
+
+    def form(i):
+        rows = data[starts[i]:starts[i] + step]
+        try:
+            scratch = free.pop()
+        except IndexError:  # every scratch is in use
+            scratch = ([np.empty((rows_max, g)) for g in sizes], np.empty(rows_max * widest),
+                       np.empty(rows_max * widest, dtype=bool))
+        factors = [f[:rows.shape[0]] for f in scratch[0]]
+        for l, (ax, f) in enumerate(zip(axes, factors)):
+            np.subtract(ax, rows[:, l:l + 1], out=f)
+            f /= h
+            f *= f  # u^2
+            far = np.greater(f, flush_sq, out=scratch[2][:f.size].reshape(f.shape))
             if l == second:
-                f *= sq - 1.0
-            factors.append(f)
+                curve = np.subtract(f, 1.0, out=scratch[1][:f.size].reshape(f.shape))
+            np.minimum(f, flush_sq, out=f)
+            f *= -0.5
+            np.exp(f, out=f)  # never subnormal
+            f[far] = 0.0
+            if l == second:
+                f *= curve
         head = factors[0]
         for f in factors[1:-1]:
             head = (head[:, :, None] * f[:, None, :]).reshape(head.shape[0], -1)
-        total += head.sum(axis=0) if len(axes) == 1 else head.T @ factors[-1]
-    return np.reshape(total, sizes)
+        parts[i] = head.sum(axis=0) if len(axes) == 1 else head.T @ factors[-1]
+        free.append(scratch)
+
+    def add(i):
+        total[0] += parts[i]
+        parts[i] = None
+
+    # the forms run workers - 1 blocks ahead of the adds, which go in order
+    workers, tasks, formed, added = blocks.workers_for(len(starts)), [], [], []
+    for i in range(len(starts) + workers - 1):
+        if i < len(starts):
+            formed.append(len(tasks))
+            tasks.append((lambda i=i: form(i), []))
+        if i >= workers - 1:
+            j = i - workers + 1
+            tasks.append((lambda j=j: add(j), [formed[j], *added[-1:]]))
+            added.append(len(tasks) - 1)
+    if len(starts) > 1:  # see blocks.one_blas_thread: the same bits on any workers
+        with blocks.one_blas_thread():
+            blocks.run_graph(tasks, workers)
+    else:
+        blocks.run_graph(tasks, workers)
+    return np.reshape(total[0], sizes)
 
 
 def evaluate_grid(model: DensityModel, axes=None, resolution: int = 256) -> EvalGrid:
@@ -457,7 +547,7 @@ def evaluate_grid(model: DensityModel, axes=None, resolution: int = 256) -> Eval
     pts = grid_points(axes)
     if model.kernel.family is KernelFamily.GAUSSIAN:
         values = _factor_sums(model, axes).ravel()
-        values /= model.n * model.bandwidth**model.dim * model.kernel.normalizer
+        values /= model.n * _bandwidth_power(model, model.dim) * model.kernel.normalizer
     else:
         values = density(model, pts)
     return EvalGrid(axes=axes, points=pts, values=values)

@@ -109,6 +109,10 @@ def _ascend(model: DensityModel, x, step, tol: float, max_iter: int):
     active set.  ``x`` is an (m, d) query matrix (``estimator._query_matrix``).
     Returns (end points, converged, dropped, iterations) per row.
 
+    A step may also return (rows, sums), the kernel sums it formed at
+    y + shift for the rows ``rows`` of y; the next step then gets them as
+    step(model, y, known), known = (mask of the rows of y with sums, *sums).
+
     A ``tol`` that is not positive (or NaN), or a ``max_iter`` below 1, would
     converge no row, so it is refused with a ValueError.
     """
@@ -120,11 +124,21 @@ def _ascend(model: DensityModel, x, step, tol: float, max_iter: int):
     active = np.ones(x.shape[0], dtype=bool)
     dropped = np.zeros(x.shape[0], dtype=bool)
     iters = np.zeros(x.shape[0], dtype=int)
+    have, carried = np.zeros(x.shape[0], dtype=bool), ()  # sums at each row's x
     for _ in range(max_iter):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        shift, ok = step(model, x[idx])
+        known = have[idx]
+        shift, ok, *ahead = (step(model, x[idx], (known, *(s[idx] for s in carried)))
+                             if known.any() else step(model, x[idx]))
+        have[idx] = False
+        if ahead:
+            rows, sums = ahead[0]
+            carried = carried or tuple(np.empty(x.shape[:1] + s.shape[1:]) for s in sums)
+            for c, s in zip(carried, sums):
+                c[idx[rows]] = s
+            have[idx[rows]] = True
         dropped[idx[~ok]] = True
         active[idx[~ok]] = False
         idx = idx[ok]
@@ -134,19 +148,22 @@ def _ascend(model: DensityModel, x, step, tol: float, max_iter: int):
     return x, ~active & ~dropped, dropped, iters
 
 
-def _mean_shift_step(model: DensityModel, x: np.ndarray):
+def _mean_shift_step(model: DensityModel, x: np.ndarray, known=None):
     """The Newton step -H^-1 grad p_hat where it is short and climbs, else the
     mean-shift update sum_i K(u_i) (X_i - x) / sum_i K(u_i), the weighted
     sample mean minus x.  Undefined where every kernel weight underflows.
 
     A row takes the Newton step delta when its Hessian H is negative
     definite, |delta| <= h / 4 and p_hat(x + delta) >= p_hat(x), the last
-    checked by evaluating p_hat at x + delta.  Density is nondecreasing along
-    Gaussian mean-shift iterates, so neither step lowers p_hat and neither
-    needs step-size control; near a mode the Newton step converges
-    quadratically, mean shift linearly.
+    checked by the kernel sums of order 0-2 at x + delta.  Density is
+    nondecreasing along Gaussian mean-shift iterates, so neither step lowers
+    p_hat and neither needs step-size control; near a mode the Newton step
+    converges quadratically, mean shift linearly.
+
+    The check's sums are the next step's, so they go back to ``_ascend``,
+    but for a check of one row, summed pairwise (see ``_sums_at``).
     """
-    s0, s1, s2 = estimator._kernel_sums(model, x, 2)
+    s0, s1, s2 = _sums_at(model, x, known)
     ok = s0 > 0
     s0, s1, s2 = s0[ok], s1[ok], s2[ok]
     h = model.bandwidth
@@ -157,10 +174,28 @@ def _mean_shift_step(model: DensityModel, x: np.ndarray):
         hess[rows], estimator._gradients(model, s1[rows])[:, :, None])[:, :, 0]
     short = np.linalg.norm(newton, axis=1) <= h / 4
     rows, newton = rows[short], newton[short]
-    (at_step,) = estimator._kernel_sums(model, x[ok][rows] + newton, 0)
-    climbs = at_step >= s0[rows]
+    at_step = estimator._kernel_sums(model, x[ok][rows] + newton, 2)
+    climbs = at_step[0] >= s0[rows]
     shift[rows[climbs]] = newton[climbs]
-    return shift, ok
+    climbs &= rows.size > 1
+    return shift, ok, (np.flatnonzero(ok)[rows[climbs]], [s[climbs] for s in at_step])
+
+
+def _sums_at(model: DensityModel, x: np.ndarray, known):
+    """The kernel sums s0, s1, s2 at the rows of ``x``: from ``known`` where
+    its mask marks them, else from a fresh pass.  A pass over one query sums
+    it pairwise, with other bits than a wider pass (``estimator._pairs``),
+    so a lone row takes nothing known, and a lone fresh row beside known
+    ones is summed beside a copy of itself."""
+    if known is None or x.shape[0] < 2:
+        return estimator._kernel_sums(model, x, 2)
+    have, *sums = known
+    todo = np.flatnonzero(~have)
+    if todo.size:
+        fresh = estimator._kernel_sums(model, x[todo.repeat(2) if todo.size == 1 else todo], 2)
+        for s, f in zip(sums, fresh):
+            s[todo] = f[:todo.size]
+    return sums
 
 
 def mean_shift(model: DensityModel, start, tol: float = 1e-8,
@@ -312,7 +347,7 @@ def _scms_step(model: DensityModel, x: np.ndarray):
     if not ok.all():
         s0, s1, s3, lam, vecs = s0[ok], s1[ok], s3[ok], lam[ok], vecs[ok]
     m, d = s1.shape
-    scale = model.n * model.bandwidth ** (d + 1)  # grad p_hat = -s1 / scale
+    scale = model.n * estimator._bandwidth_power(model, d + 1)  # grad p_hat = -s1 / scale
     v, w = vecs[:, :, :-1], vecs[:, :, -1:]
     f = s1[:, None, :] @ vecs / -scale  # (m, 1, d): V^T grad p_hat, then w . grad p_hat
     fv, wg = f[:, :, :-1].transpose(0, 2, 1), f[:, :, -1:]
@@ -324,7 +359,7 @@ def _scms_step(model: DensityModel, x: np.ndarray):
     # gap = (lambda_a - lambda_w) h^2, J = (lambda_a - wg^2 / gap) delta_ab
     # - wg v_a^T (s3 . w) v_b / (scale gap)
     s3w = (w.transpose(0, 2, 1) @ s3.reshape(m, d, d * d)).reshape(m, d, d)
-    gap = (lam[:, :-1] - lam[:, -1:])[:, :, None] * model.bandwidth ** 2
+    gap = (lam[:, :-1] - lam[:, -1:])[:, :, None] * estimator._bandwidth_power(model, 2)
     jac = v.transpose(0, 2, 1) @ s3w @ v * (-wg / (scale * gap))
     jac += (lam[:, :-1, None] - wg * wg / gap) * np.eye(d - 1)
     sym = np.linalg.eigvalsh(jac + jac.transpose(0, 2, 1))

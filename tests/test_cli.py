@@ -580,6 +580,63 @@ def test_csv_artifacts_match_csv_writer_reference(tmp_path, monkeypatch, request
         assert set(columns[2].tolist()) == {False, True}
 
 
+def row_format_csv(header, columns) -> bytes:
+    """The per-row writer the column writer replaced: one %-format for every
+    row, %d for integer and boolean columns, %s for strings, %r else."""
+    columns = [np.asarray(c) for c in columns]
+    kinds = {"b": "%d", "i": "%d", "u": "%d", "O": "%s", "U": "%s"}
+    fmt = ",".join(kinds.get(c.dtype.kind, "%r") for c in columns) + "\n"
+    rows = zip(*[c.tolist() for c in columns])
+    return (",".join(header) + "\n" + "".join(fmt % row for row in rows)).encode()
+
+
+@pytest.mark.parametrize("columns", [
+    pytest.param([np.empty(0), np.empty(0, dtype=int)], id="no-rows"),
+    pytest.param([np.array([True, False, True])], id="bool"),
+    pytest.param([np.array([-3, 0, 7]), np.array([1, 2, 255], dtype=np.uint8)], id="int"),
+    pytest.param([np.array(["a", "b c", ""]), np.array(["0.5", "-1", "x"], dtype=object)],
+                 id="str"),
+    pytest.param([np.array([-0.0, 0.0, 0.1, -2.5e-308, 1e300, np.inf, np.nan])],
+                 id="float"),
+    pytest.param([np.array([1.5, -0.0]), np.array([False, True]), np.array([4, -4]),
+                  np.array(["p", "q"])], id="mixed"),
+])
+def test_csv_columns_keep_the_row_format_bytes(tmp_path, columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    out = tmp_path / "out.csv"
+    cli._write_csv(str(out), header, columns)
+    assert out.read_bytes() == row_format_csv(header, columns)
+
+
+def test_main_builds_its_parser_once_and_keeps_no_value(monkeypatch, tmp_path, normal_csv,
+                                                         capsys):
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    argv = ["band", "--input", normal_csv, "--grid", "16", "--boot", "20",
+            "--output", str(tmp_path / "band.json")]
+    assert cli.main([*argv, "--seed", "1"]) == 0
+    assert cli.main(argv) == 2  # no --seed: none is left from the call before
+    assert "explicit --seed" in capsys.readouterr().err
+    assert len(built) == 1
+    assert real() is not real()  # build_parser itself still builds a fresh one
+
+
+@pytest.mark.parametrize("h", ["1e150", "1e300"])
+@pytest.mark.parametrize("command,extra", [
+    ("modes", []), ("ridge", []), ("morse", ["--grid", "16"]), ("density", ["--grid", "16"]),
+    ("levelset", ["--grid", "16", "--lambda", "0.01"]), ("tree", ["--grid", "16"]),
+    ("persist", ["--grid", "16"])])
+def test_huge_bandwidths_exit_cleanly(tmp_path, bivariate_csv, capsys, command, extra, h):
+    # a power of h that overflows float64 is a data error, not a traceback
+    code = cli.main([command, "--input", bivariate_csv, "--bandwidth-method", "fixed",
+                     "--bandwidth", h, *extra, "--output", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 3)
+    if code == 3:
+        assert "data error: h^" in err and "overflows float64" in err
+
+
 GRID_CSVS = [  # (subcommand, dimension, extra arguments)
     ("density", 1, ["--grid", "33"]),
     ("density", 2, ["--grid", "17"]),

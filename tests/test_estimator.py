@@ -443,6 +443,59 @@ def test_pair_pass_fill(monkeypatch, rng, fill, d, family):
     assert_block_error_reaches_caller(monkeypatch, owner, name, lambda: job(model, x))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 33])
+def test_tiles_keep_the_bits_of_one_tile(monkeypatch, rng, d, m):
+    # with a budget of 5 values a tile, 2 to 5 sample rows a tile and one
+    # carried row: every sum over n must keep the bits of one tile of all 41
+    model = DensityModel(Sample(rng.normal(size=(41, d))), KernelSpec(KernelFamily.GAUSSIAN, d), 0.7)
+    x = rng.normal(scale=1.5, size=(m, d))
+    jobs = [_sums(order) for order in range(4)]
+    if m > 1:  # the reductions of PASS_FILLS (CDF fills at d = 1 only)
+        jobs += [PASS_FILLS[fill][0] for fill in PASS_FILLS if not PASS_FILLS[fill][1]
+                 and not (fill.startswith("cdf") and d > 1)]
+    for job in jobs:
+        whole = job(model, x)
+        monkeypatch.setattr(estimator, "_TILE_ELEMENTS", 5)
+        for tiled in on_each_worker_count(monkeypatch, lambda: job(model, x)):
+            for got, ref in zip(tiled, whole, strict=True):
+                np.testing.assert_array_equal(got, ref)
+        monkeypatch.setattr(estimator, "_TILE_ELEMENTS", 2**15)
+
+
+def test_kernel_sums_scratch_is_bounded(monkeypatch, rng):
+    # n = 20 000 and 256 queries: each worker holds one scratch area of d + 3
+    # tile arrays of about _TILE_ELEMENTS values (1.3 MB at d = 2), and numpy
+    # the buffer of a broadcast subtraction (142 KB), where one (n, b) query
+    # slice temporary alone took 2 MB
+    n, m, d = 20_000, 256, 2
+    model = DensityModel(Sample(rng.normal(size=(n, d))), GAUSS2, 0.3)
+    x = rng.normal(size=(m, d))
+    outputs = m * (1 + d + d * d + d ** 3 + math.comb(d + 2, 3)) * 8
+    for workers in (1, 2):
+        monkeypatch.setattr(blocks, "cpus", lambda: workers)
+        # a tile of r rows and b <= m queries, with its carried row
+        scratch = (d + 3) * (estimator._TILE_ELEMENTS + m) * 8 + 256 * 2**10
+        estimator._kernel_sums(model, x, 3)  # the executor's lazy import, untraced
+        tracemalloc.start()
+        try:
+            estimator._kernel_sums(model, x, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * scratch + 2 * outputs
+
+
+@pytest.mark.parametrize("h", [1e150, np.float64(1e150)])
+def test_bandwidth_powers_that_overflow_are_data_range_errors(h):
+    model = DensityModel(Sample(np.array([[0.0, 0.0], [1.0, 1.0]])), GAUSS2, h)
+    assert estimator._bandwidth_power(model, 2) == 1e150 ** 2
+    with pytest.raises(estimator.DataRangeError, match=r"h\^3 overflows .*h = 1e\+150, d = 2"):
+        estimator._bandwidth_power(model, 3)
+    with pytest.raises(estimator.DataRangeError, match=r"h\^4"):
+        estimator.hessian_at(model, [0.0, 0.0])
+
+
 def test_grid_evaluation_memory_is_bounded(rng):
     model = DensityModel(Sample(rng.normal(size=(400, 2))), GAUSS2, 0.4)
     tracemalloc.start()
@@ -484,6 +537,24 @@ def test_factor_grid_matches_engine(monkeypatch, rng, d, n, shape):
         assert grid.shape == shape
         np.testing.assert_array_equal(grid.points, estimator.grid_points(axes))
         np.testing.assert_allclose(grid.values, ref, rtol=0, atol=1e-13 * ref.max())
+
+
+@pytest.mark.parametrize("second", [None, 0])
+@pytest.mark.parametrize("d,n,shape", FACTOR_CASES)
+def test_factor_blocks_give_the_same_bits_on_any_number_of_workers(monkeypatch, rng, d, n,
+                                                                    shape, second):
+    model = DensityModel(Sample(rng.normal(size=(n, d))), KernelSpec(KernelFamily.GAUSSIAN, d), 0.7)
+    axes = tuple(np.sort(rng.uniform(-3, 3, size=g)) for g in shape)
+    monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # forms that share the scratch pool interleave
+    try:
+        first, *rest = on_each_worker_count(
+            monkeypatch, lambda: estimator._factor_sums(model, axes, second), (1, 2, 3, 8))
+    finally:
+        sys.setswitchinterval(interval)
+    for other in rest:
+        np.testing.assert_array_equal(other, first)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

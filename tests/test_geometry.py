@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdeforge import estimator, geometry
+from kdeforge import bandwidth, estimator, geometry
 from kdeforge.estimator import DensityModel, Sample
 from kdeforge.geometry import find_modes, level_set, mean_shift, morse_smale, scms
 from kdeforge.kernels import KernelFamily, KernelSpec
@@ -405,6 +405,39 @@ def first_order_scms_step(model, x):
 def four_clusters(rng, per=50, sd=0.6):
     corners = 2.5 * np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
     return np.concatenate([rng.normal(c, sd, size=(per, 2)) for c in corners])
+
+
+def feature_bytes(model):
+    """The bytes of the modes, ridge and Morse-Smale partition of ``model``."""
+    modes = find_modes(model)
+    ridge = scms(model, starts=model.sample.data[::5])
+    part = morse_smale(model, estimator.evaluate_grid(model, resolution=16))
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in (
+        modes.modes, modes.density, modes.assignments, modes.converged, ridge.points,
+        ridge.projected_grad_norms, ridge.lambda2, ridge.converged, part.ascent_ids,
+        part.descent_ids, part.cell_labels, part.modes, part.minima))
+
+
+def test_carried_sums_change_no_byte(monkeypatch):
+    # Mean shift's check pass hands its sums to the next step; the features
+    # must keep every byte they have when each step forms its own sums.
+    step, sums_at, carried = geometry._mean_shift_step, geometry._sums_at, []
+
+    def counted(model, x, known):
+        if known is not None and x.shape[0] > 1:
+            carried.append(int(known[0].sum()))
+        return sums_at(model, x, known)
+
+    monkeypatch.setattr(geometry, "_sums_at", counted)
+    for seed in range(40):
+        sample = Sample(four_clusters(np.random.default_rng(seed)))
+        model = DensityModel(sample, GAUSS2, bandwidth.rule_of_thumb(sample))
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_mean_shift_step",
+                          lambda model, x, known=None: step(model, x, known)[:2])
+            fresh = feature_bytes(model)
+        assert feature_bytes(model) == fresh, f"seed {seed}"
+    assert sum(carried) > 0  # the carry was taken
 
 
 @settings(max_examples=40, deadline=None)
