@@ -12,6 +12,7 @@ there is no wall-clock seeding.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -224,30 +225,25 @@ def _write_json(path: str | None, payload: dict, schema: int = SCHEMA):
 
 
 def _write_csv(path: str | None, header: list, columns):
-    """Write equal-length columns under ``header``, each column formatted
-    once: integer and boolean columns as integers, string columns as they
-    are, the rest as the repr of a Python float (full precision, no numpy
-    scalar reprs)."""
-    cells = []
-    for c in map(np.asarray, columns):
-        if c.dtype.kind in "biu":
-            cells.append(map(str, c.astype(np.int64).tolist()))
-        else:
-            cells.append(c.tolist() if c.dtype.kind in "OU" else map(repr, c.tolist()))
-    text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    """Write equal-length columns under ``header``: integer and boolean cells
+    as %d writes them, string cells as they are, float cells as the repr of a
+    Python float.  ``csvtext`` formats them a block of rows at a time."""
+    # imported here, not at the top: every CLI call would pay for the import
+    from . import csvtext
+
+    # formatted before the file opens, so an error leaves no partial artifact
+    pieces = list(csvtext.table(header, columns))
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(pieces)
 
 
-def _grid_columns(grid) -> list:
-    """The coordinate columns of ``grid.points`` as float reprs, each axis
-    value formatted once (a column holds only its axis's values)."""
+def _grid_coordinates(grid) -> list:
+    """The coordinate columns of ``grid.points``, each its axis gathered by
+    row index, so that the writer formats each axis value once."""
+    from . import csvtext
+
     index = np.unravel_index(np.arange(grid.values.size), grid.shape)
-    return [np.array([repr(v) for v in ax.tolist()], dtype=object)[i]
-            for ax, i in zip(grid.axes, index)]
+    return [csvtext.Repeated(ax, i) for ax, i in zip(grid.axes, index)]
 
 
 def cmd_density(args):
@@ -261,7 +257,7 @@ def cmd_density(args):
         })
     else:
         header = [f"x{l}" for l in range(model.dim)] + ["density"]
-        _write_csv(args.output, header, [*_grid_columns(grid), grid.values])
+        _write_csv(args.output, header, [*_grid_coordinates(grid), grid.values])
     print(f"density: n={model.n} d={model.dim} h={model.bandwidth:.6g} "
           f"grid={grid.values.size}")
 
@@ -321,7 +317,7 @@ def cmd_levelset(args):
     ls = geometry.level_set(grid, level)
     header = [f"x{l}" for l in range(model.dim)] + ["in_set", "component"]
     _write_csv(args.output, header,
-               [*_grid_columns(grid), ls.mask.ravel(), ls.labels.ravel()])
+               [*_grid_coordinates(grid), ls.mask.ravel(), ls.labels.ravel()])
     print(f"levelset: lambda={level:.6g} components={ls.n_components}")
 
 
@@ -340,7 +336,7 @@ def cmd_morse(args):
     grid = estimator.evaluate_grid(model, resolution=args.grid)
     part = geometry.morse_smale(model, grid)
     header = [f"x{l}" for l in range(model.dim)] + ["ascent", "descent", "cell"]
-    _write_csv(args.output, header, [*_grid_columns(grid), part.ascent_ids,
+    _write_csv(args.output, header, [*_grid_coordinates(grid), part.ascent_ids,
                                      part.descent_ids, part.cell_labels])
     print(f"morse: {len(set(part.cell_labels.tolist()))} cells, "
           f"{part.modes.shape[0]} modes")

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kdeforge import bandwidth, blocks, cli, estimator, geometry, simulate
+from kdeforge import bandwidth, blocks, cli, csvtext, estimator, geometry, simulate
 from kdeforge.cli import DataError, ingest
-from kdeforge.estimator import DensityModel, EvalGrid, Sample
+from kdeforge.estimator import DensityModel, Sample
 from kdeforge.kernels import KernelFamily, KernelSpec
 
 
@@ -600,6 +600,10 @@ def row_format_csv(header, columns) -> bytes:
                  id="float"),
     pytest.param([np.array([1.5, -0.0]), np.array([False, True]), np.array([4, -4]),
                   np.array(["p", "q"])], id="mixed"),
+    pytest.param([np.array([0, 1, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)], id="uint64"),
+    pytest.param([csvtext.Repeated(ax, i) for ax, i in zip(
+        (np.array([-1.0, -0.0, 2.5]), np.array([0.0, 0.1])),
+        np.unravel_index(np.arange(6), (3, 2)))], id="grid-axes-negative-zero"),
 ])
 def test_csv_columns_keep_the_row_format_bytes(tmp_path, columns):
     header = [f"c{j}" for j in range(len(columns))]
@@ -676,15 +680,6 @@ def test_grid_csv_coordinates_match_grid_points(tmp_path, rng, capsys, command,
         header = header + ["ascent", "descent", "cell"]
         rest = [part.ascent_ids, part.descent_ids, part.cell_labels]
     assert out.read_bytes() == reference_csv(header, [*grid.points.T, *rest])
-
-
-def test_grid_columns_keep_negative_zero():
-    axes = (np.array([-1.0, -0.0, 2.5]), np.array([0.0, 0.1]))
-    grid = EvalGrid(axes=axes, points=estimator.grid_points(axes), values=np.zeros(6))
-    columns = cli._grid_columns(grid)
-    assert [c.tolist() for c in columns] == [[repr(v) for v in col]
-                                             for col in grid.points.T.tolist()]
-    assert columns[0].tolist().count("-0.0") == 2
 
 
 def test_simulate_subcommand(tmp_path, capsys):

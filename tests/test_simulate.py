@@ -173,8 +173,18 @@ def test_work_worth_a_fork_runs_in_workers(monkeypatch, total):
     assert multiprocessing.active_children() == []
 
 
+def _timed_at(seconds):
+    """blocks._timed with every item taking ``seconds``."""
+    def timed(fn, item, done):
+        done.append(fn(range(item, item + 1)))
+        return seconds
+    return timed
+
+
 def test_small_work_runs_inline(monkeypatch):
     monkeypatch.setattr(blocks, "cpus", lambda: 2)
+    # each item reads a millisecond, whatever this machine's clock says
+    monkeypatch.setattr(blocks, "_timed", _timed_at(1e-3))
     parts = blocks.run_forked(functools.partial(_pids, 0.0), 4)
     assert parts == [[os.getpid()], [os.getpid()] * 3]
     # a study of milliseconds: no trial runs in a worker
