@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimator, kernels
+from . import blocks, estimator, kernels
 from .kernels import KernelFamily, KernelSpec
 
 
@@ -315,7 +315,8 @@ def _lscv_scores_gaussian(sample: estimator.Sample, h_grid: np.ndarray):
     """CV(h) = int p_hat^2 - (2/n) sum_i p_hat_{-i}(X_i), Gaussian closed
     form, and each score's bound (0 where exact).
 
-    1-d samples of more than _LSCV_BINS pairs go through the binned screen;
+    1-d samples of more than _LSCV_BINS pairs go through the binned screen,
+    on one OpenBLAS thread (``blocks``: its lag sums are threaded dot products);
     the candidates it leaves, and every candidate of the other samples, are
     scored exactly.
     """
@@ -324,7 +325,8 @@ def _lscv_scores_gaussian(sample: estimator.Sample, h_grid: np.ndarray):
     scores, bounds = np.empty(h_grid.size), np.zeros(h_grid.size)
     exact = np.ones(h_grid.size, dtype=bool)
     if sample.dim == 1 and n * (n - 1) // 2 > _LSCV_BINS:
-        screened = _screen(data[:, 0], h_grid)
+        with blocks.one_blas_thread():
+            screened = _screen(data[:, 0], h_grid)
         if screened is not None:
             scores, bounds, exact = screened
             if np.count_nonzero(exact) == 1:

@@ -2,9 +2,9 @@
 ranges of work (Monte Carlo trials) in forked processes.
 
 Every (n, block) job of the package -- kernel and CDF matrices, kernel sums,
-replicate counts and their products -- cuts its rows or queries into slices
-(``split``) and calls one function per slice (``run``).  Each call writes only
-its own slice of the output, and each job is written so that its bits do not
+replicate counts and their products, grid factor products -- cuts its rows
+or queries into slices (``split``, ``ranges``) and calls one function per
+slice (``run``).  Each call writes only its own slice of the output, and each job is written so that its bits do not
 depend on where the slices fall (see ``estimator._pairs`` and
 ``inference._replicate_products``), so the slices may run in any order, on any
 thread, and give the same result whatever the number of workers.  numpy
@@ -14,8 +14,8 @@ time in (exp, ndtr, integers, bincount, matmul), so the slices overlap.
 A job runs on the calling thread and on the threads of an executor that
 lives for that job alone; a job of one slice, or on one CPU, runs inline.
 
-A block job that multiplies matrices (the bootstrap's replicate products)
-holds OpenBLAS to one thread for its length (``one_blas_thread``), as
+A block job that multiplies matrices, however small, holds OpenBLAS to one
+thread for its length (``one_blas_thread``, microseconds a pin), as
 ``run_forked`` does: the job's workers already keep the CPUs busy, and a
 threaded BLAS rounds a product by its own split of it, so its bits would
 depend on the number of CPUs.
@@ -28,6 +28,7 @@ processes instead, when the work is worth a fork.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import sys
 import threading
@@ -90,6 +91,12 @@ def cut(total: int, size: int) -> list:
     (numpy reduces or multiplies one row by a different rule)."""
     edges = [0, *range(size, total - 1, size), total]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def ranges(items: range, parts: int) -> list:
+    """``parts`` contiguous ranges of near-equal length that cover ``items``."""
+    edges = [items.start + len(items) * k // parts for k in range(parts + 1)]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def run(fn, slices, workers: int) -> None:
@@ -172,15 +179,18 @@ def _fork_workers(total: int) -> int:
     return workers
 
 
-def _openblas() -> list:
-    """(get, set) of the thread count of each OpenBLAS this process has loaded
-    (numpy's among them), found by path in /proc/self/maps and by the names
-    OpenBLAS builds export; none where the map or the functions are missing."""
+@functools.cache
+def _openblas() -> tuple:
+    """(get, set) of the thread count of each OpenBLAS this process has loaded,
+    found once a process by path in /proc/self/maps and by the names OpenBLAS
+    builds export; none where the map or the functions are missing.  numpy's
+    OpenBLAS, which runs every product of the package, loads with numpy,
+    before any kdeforge code runs; one loaded later is not seen."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
     except OSError:
-        return []
+        return ()
     import ctypes
     found = []
     for path in sorted(paths):
@@ -196,7 +206,7 @@ def _openblas() -> list:
                 put.argtypes, put.restype = [ctypes.c_int], None
                 found.append((get, put))
                 break
-    return found
+    return tuple(found)  # every caller shares it
 
 
 @contextlib.contextmanager
@@ -205,7 +215,8 @@ def one_blas_thread():
 
     Nested and concurrent bodies share one pin: the first to enter sets one
     thread, the last to leave restores each library's count.  Forked workers
-    inherit the pin.  Without OpenBLAS this does nothing.
+    inherit the pin.  Without OpenBLAS this does nothing.  The libraries are
+    found once a process (``_openblas``), so a pin costs microseconds.
     """
     global _blas_pins, _blas_restore
     with _blas_lock:
@@ -278,15 +289,14 @@ def run_forked(fn, total: int) -> list:
             workers = min(workers, len(rest))
             if seconds * len(rest) < _FORK_MIN_SECONDS or workers < 2:
                 return [*done, fn(rest)]
-            edges = [rest.start + len(rest) * k // workers for k in range(workers + 1)]
-            ranges = [range(a, b) for a, b in zip(edges, edges[1:])]
+            parts = ranges(rest, workers)
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(workers - 1,
                                      multiprocessing.get_context("fork")) as pool:
-                futures = [pool.submit(fn, r) for r in ranges[1:]]
-                mine = fn(ranges[0])
+                futures = [pool.submit(fn, r) for r in parts[1:]]
+                mine = fn(parts[0])
                 return [*done, mine, *(f.result() for f in futures)]
     finally:
         _forked = forked

@@ -124,9 +124,6 @@ class RocCurve:
     values: np.ndarray
     method: str
 
-    def to_dict(self) -> dict:
-        return {"t": self.t.tolist(), "roc": self.values.tolist(), "method": self.method}
-
 
 def default_t_grid(num: int = 101) -> np.ndarray:
     return np.linspace(0.0, 1.0, num)

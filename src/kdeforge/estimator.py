@@ -471,9 +471,11 @@ def _factor_sums(model: DensityModel, axes, second: int | None = None) -> np.nda
     blocks of sample rows whose factor matrices and partial products hold
     about _BLOCK_ELEMENTS values each: per block, A.sum(0) in 1-d, A.T @ B in
     2-d, and in d > 2 the row-wise outer product of all but the last factor
-    times the last.  The blocks are formed on every CPU, each in the scratch
-    of a finished one, with OpenBLAS on one thread, and added in block
-    order, so the sum has the same bits on any number of workers.
+    times the last.  The blocks go in waves whose parts hold about
+    _BLOCK_ELEMENTS values together: each worker forms a contiguous range of
+    a wave's blocks in one scratch area, and the parts are added in block
+    order, with OpenBLAS on one thread, so the sum has the same bits on any
+    number of workers and CPUs.
     """
     data = model.sample.data
     h = model.bandwidth
@@ -481,56 +483,43 @@ def _factor_sums(model: DensityModel, axes, second: int | None = None) -> np.nda
     step = max(1, _BLOCK_ELEMENTS // max(1, *sizes, math.prod(sizes[:-1])))
     flush_sq = 2.0 * _FLUSH_EXPONENT / len(axes)
     starts = range(0, data.shape[0], step)
-    parts, total, free = [None] * len(starts), [0.0], []  # free: scratch of finished forms
     rows_max, widest = min(step, data.shape[0]), max(sizes)
+    total = np.zeros(math.prod(sizes))
+    parts = [None] * min(len(starts), max(1, _BLOCK_ELEMENTS // max(1, total.size)))
 
-    def form(i):
-        rows = data[starts[i]:starts[i] + step]
-        try:
-            scratch = free.pop()
-        except IndexError:  # every scratch is in use
-            scratch = ([np.empty((rows_max, g)) for g in sizes], np.empty(rows_max * widest),
-                       np.empty(rows_max * widest, dtype=bool))
-        factors = [f[:rows.shape[0]] for f in scratch[0]]
-        for l, (ax, f) in enumerate(zip(axes, factors)):
-            np.subtract(ax, rows[:, l:l + 1], out=f)
-            f /= h
-            f *= f  # u^2
-            far = np.greater(f, flush_sq, out=scratch[2][:f.size].reshape(f.shape))
-            if l == second:
-                curve = np.subtract(f, 1.0, out=scratch[1][:f.size].reshape(f.shape))
-            np.minimum(f, flush_sq, out=f)
-            f *= -0.5
-            np.exp(f, out=f)  # never subnormal
-            f[far] = 0.0
-            if l == second:
-                f *= curve
-        head = factors[0]
-        for f in factors[1:-1]:
-            head = (head[:, :, None] * f[:, None, :]).reshape(head.shape[0], -1)
-        parts[i] = head.sum(axis=0) if len(axes) == 1 else head.T @ factors[-1]
-        free.append(scratch)
+    def form(indices):  # blocks formed in one scratch area
+        scratch = [np.empty((rows_max, g)) for g in sizes]
+        curve_area, far_area = np.empty(rows_max * widest), np.empty(rows_max * widest, bool)
+        for i in indices:
+            rows = data[starts[i]:starts[i] + step]
+            factors = [f[:rows.shape[0]] for f in scratch]
+            for l, (ax, f) in enumerate(zip(axes, factors)):
+                np.subtract(ax, rows[:, l:l + 1], out=f)
+                f /= h
+                f *= f  # u^2
+                far = np.greater(f, flush_sq, out=far_area[:f.size].reshape(f.shape))
+                if l == second:
+                    curve = np.subtract(f, 1.0, out=curve_area[:f.size].reshape(f.shape))
+                np.minimum(f, flush_sq, out=f)
+                f *= -0.5
+                np.exp(f, out=f)  # never subnormal
+                f[far] = 0.0
+                if l == second:
+                    f *= curve
+            head = factors[0]
+            for f in factors[1:-1]:
+                head = (head[:, :, None] * f[:, None, :]).reshape(head.shape[0], -1)
+            part = head.sum(axis=0) if len(axes) == 1 else head.T @ factors[-1]
+            parts[i % len(parts)] = part.ravel()  # its place in the wave
 
-    def add(i):
-        total[0] += parts[i]
-        parts[i] = None
-
-    # the forms run workers - 1 blocks ahead of the adds, which go in order
-    workers, tasks, formed, added = blocks.workers_for(len(starts)), [], [], []
-    for i in range(len(starts) + workers - 1):
-        if i < len(starts):
-            formed.append(len(tasks))
-            tasks.append((lambda i=i: form(i), []))
-        if i >= workers - 1:
-            j = i - workers + 1
-            tasks.append((lambda j=j: add(j), [formed[j], *added[-1:]]))
-            added.append(len(tasks) - 1)
-    if len(starts) > 1:  # see blocks.one_blas_thread: the same bits on any workers
-        with blocks.one_blas_thread():
-            blocks.run_graph(tasks, workers)
-    else:
-        blocks.run_graph(tasks, workers)
-    return np.reshape(total[0], sizes)
+    with blocks.one_blas_thread():  # see blocks: the same bits on any workers
+        for first in range(0, len(starts), len(parts)):
+            wave = range(first, min(first + len(parts), len(starts)))
+            workers = blocks.workers_for(len(wave))
+            blocks.run(form, blocks.ranges(wave, workers), workers)
+            for part in parts[:len(wave)]:
+                total += part
+    return total.reshape(sizes)
 
 
 def evaluate_grid(model: DensityModel, axes=None, resolution: int = 256) -> EvalGrid:

@@ -533,7 +533,7 @@ def ci_plugin(model: DensityModel, grid, alpha: float) -> IntervalResult:
     center = estimator.density(model, grid)
     mu_k = kernels.constants(model.kernel)["mu_k"]
     z = ndtri(1.0 - alpha / 2.0)
-    hw = z * np.sqrt(mu_k * center / (model.n * model.bandwidth**model.dim))
+    hw = z * np.sqrt(mu_k * center / (model.n * estimator._bandwidth_power(model, model.dim)))
     return IntervalResult(
         grid=grid, center=center, lower=center - hw, upper=center + hw,
         alpha=alpha, method="ci-plugin", degenerate=(center == 0.0),
@@ -543,9 +543,9 @@ def ci_plugin(model: DensityModel, grid, alpha: float) -> IntervalResult:
 def _plain_bootstrap(model: DensityModel, grid, plan: BootstrapPlan):
     """The grid, p_hat and the (B, m) bootstrap KDE values from one walk of
     the kernel values."""
+    scale = model.n * estimator._bandwidth_power(model, model.dim)
     rows, sums = estimator.kernel_value_rows(model, grid), []
     (boot,) = _replicate_products(plan, [rows], sums)
-    scale = model.n * model.bandwidth**model.dim
     return rows.x, sums[0] / scale, boot / scale
 
 
@@ -651,6 +651,7 @@ class DebiasedDensity:
         estimator._require_gaussian(model, "debiasing")
         self.model = model
         self.sigma_k2 = kernels.constants(model.kernel)["sigma_k2"]
+        self.scale = model.n * estimator._bandwidth_power(model, model.dim)  # n h^d
 
     def _contributions(self, u: list) -> np.ndarray:
         """K(u) (1 - sigma_k2 (||u||^2 - d) / 2) / (n h^d) at the offsets u,
@@ -662,7 +663,7 @@ class DebiasedDensity:
         sq *= -0.5 * self.sigma_k2
         sq += 1.0
         block *= sq
-        block /= m.n * m.bandwidth**m.dim
+        block /= self.scale
         return block
 
     def correction_rows(self, grid) -> estimator.PairRows:

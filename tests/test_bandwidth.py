@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.spatial.distance import pdist
 
-from kdeforge import bandwidth, estimator
+from kdeforge import bandwidth, blocks, estimator
 from kdeforge.bandwidth import (
     BandwidthSelector,
     DegenerateSampleError,
@@ -306,6 +306,25 @@ def test_lscv_leaves_scipy_spatial_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip().splitlines()[-1] == "[0, 0] False"
+
+
+@pytest.mark.skipif(blocks.cpus() < 2, reason="OpenBLAS runs one thread on one CPU")
+def test_lscv_score_bytes_do_not_depend_on_blas_threads():
+    # the screen's lag sums over 2^14 bins and more are dot products that
+    # OpenBLAS threads, and two threads rounded some scores differently
+    src = os.path.dirname(os.path.dirname(bandwidth.__file__))
+    probe = ("import numpy as np; from kdeforge import bandwidth, estimator, kernels; "
+             "rng = np.random.default_rng(0); "
+             "s = estimator.Sample(np.concatenate([rng.normal(0.0, 1.0, 900), "
+             "rng.normal(3.0, 0.7, 600)])); "
+             "gauss = kernels.KernelSpec(kernels.KernelFamily.GAUSSIAN, 1); "
+             "print(bandwidth.lscv(s, gauss, bandwidth.default_lscv_grid(s)).scores.tobytes().hex())")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    scores = [subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**env, "PYTHONPATH": src, **threads}).stdout
+              for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"})]
+    assert scores[0] == scores[1]
 
 
 def test_curvature_functional_normal_reference():

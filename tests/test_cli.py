@@ -1083,3 +1083,25 @@ def test_bootstrap_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert run.returncode == 0, run.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(blocks.cpus() < 2, reason="OpenBLAS runs one thread on one CPU")
+def test_grid_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a one-block factor product (400 rows) on two OpenBLAS threads rounded
+    # some grid values differently from one on one thread
+    path = tmp_path / "bi.csv"
+    rng = np.random.default_rng(0)
+    data = np.concatenate([rng.normal(c, 0.6, size=(100, 2))
+                           for c in ((-2.5, -2.5), (-2.5, 2.5), (2.5, -2.5), (2.5, 2.5))])
+    path.write_text("x0,x1\n" + "".join(f"{a!r},{b!r}\n" for a, b in data.tolist()))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    for command, grid, name in (("density", "256", "density.csv"), ("tree", "128", "tree.json")):
+        outputs = []
+        for threads in (None, "1"):
+            out = tmp_path / f"{threads}_{name}"
+            run = _run_cli([command, "--input", str(path), "--grid", grid, "--output", str(out)],
+                           env={**env, "OPENBLAS_NUM_THREADS": threads} if threads else env)
+            assert run.returncode == 0, run.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], command

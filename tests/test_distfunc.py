@@ -263,7 +263,7 @@ def test_roc_endpoints_and_monotonicity(rng):
     assert roc.values[-1] == 1.0
     assert np.all(np.diff(roc.values) >= -1e-9)
     assert np.all((roc.values >= 0) & (roc.values <= 1))
-    assert roc.to_dict()["method"] == "smoothed"
+    assert roc.method == "smoothed"
 
 
 @pytest.mark.parametrize("kernel", [GAUSS1, SPHERE1], ids=["gaussian", "spherical"])

@@ -634,6 +634,20 @@ def test_debias_requires_gaussian():
         DebiasedDensity(sph)
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda model, grid: band_bootstrap(model, grid, 0.1, BootstrapPlan(20, 0)),
+    lambda model, grid: band_debiased_bootstrap(model, grid, 0.1, BootstrapPlan(20, 0)),
+    lambda model, grid: DebiasedDensity(model).evaluate(grid),
+], ids=["band_bootstrap", "band_debiased_bootstrap", "DebiasedDensity.evaluate"])
+def test_an_overflowing_h_to_the_d_is_a_data_range_error(evaluate):
+    # n h^d at h = 1e200, d = 2 overflows: refused as density and ci_plugin
+    # refuse it, not a bare OverflowError
+    model = DensityModel(Sample(np.array([[0.0, 0.0], [1.0, 0.5], [0.2, 1.0]])),
+                         KernelSpec(KernelFamily.GAUSSIAN, 2), 1e200)
+    with pytest.raises(estimator.DataRangeError, match=r"h\^2 overflows float64"):
+        evaluate(model, np.array([[0.0, 0.0], [0.5, 0.5]]))
+
+
 def test_debias_reduces_bias_on_curved_density():
     # stratified normal sample: at the peak the plain KDE is biased down by
     # about h^2/2 * |p''|, the corrected estimate much less
