@@ -86,6 +86,8 @@ def _is_header(row: list) -> bool:
 
 def _ingest_rows(path: str, group_col: str | None):
     """The row parser behind ``ingest``: every cell through ``float``."""
+    from math import isfinite  # on a Python float; np.isfinite costs 0.6 us a cell
+
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -125,7 +127,7 @@ def _ingest_rows(path: str, group_col: str | None):
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: non-numeric cell "
                                 f"{cell.strip()!r}")
-            if not np.isfinite(v):
+            if not isfinite(v):
                 raise DataError(f"{path}: line {lineno}: non-finite value")
             values.append(v)
         points.append(values)

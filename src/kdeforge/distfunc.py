@@ -59,7 +59,8 @@ def _cdf_rows(model: DensityModel, xs) -> estimator.PairRows:
     (read by ``estimator._query_matrix``), formed on demand; the mean of the
     (n, m) matrix over the sample is the smoothed CDF."""
     return estimator.PairRows(model, estimator._query_matrix(model, xs),
-                              lambda u: integrated(model.kernel, u[0], out=u[0]))
+                              lambda u: integrated(model.kernel, u[0], out=u[0]),
+                              ("integrated", 1.0) if model.kernel.differentiable else None)
 
 
 def _cdf_terms(model: DensityModel, xs) -> np.ndarray:

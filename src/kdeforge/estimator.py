@@ -236,10 +236,14 @@ class PairRows:
     matrix.  Every entry has the same bits whichever forms it, since each is
     a function of its own offset alone.  A bootstrap takes its rows a chunk
     at a time (``inference._replicate_products``) and never holds the matrix.
+
+    ``series``, on a 1-d Gaussian model, names the terms' Hermite expansion
+    (``hermite``): its kind ("kernel", "debiased" or "integrated") and the
+    divisor the terms carry; None where the terms have none.
     """
 
-    def __init__(self, model: DensityModel, x: np.ndarray, fill):
-        self.model, self.x, self.fill = model, x, fill
+    def __init__(self, model: DensityModel, x: np.ndarray, fill, series=None):
+        self.model, self.x, self.fill, self.series = model, x, fill, series
         self.shape = (model.n, x.shape[0])
 
     def form(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
@@ -361,8 +365,10 @@ def kernel_value_rows(model: DensityModel, queries) -> PairRows:
     column sums are the KDE and a replicate's counts @ them are that
     replicate's.
     """
+    gaussian_1d = model.dim == 1 and model.kernel.differentiable
     return PairRows(model, _query_matrix(model, queries), lambda u: evaluate_sq(
-        model.kernel, _squared_norm(u, out=u[0]), out=u[0]))  # all in place in u_0
+        model.kernel, _squared_norm(u, out=u[0]), out=u[0]),  # all in place in u_0
+        ("kernel", 1.0) if gaussian_1d else None)
 
 
 def kernel_value_matrix(model: DensityModel, queries: np.ndarray) -> np.ndarray:

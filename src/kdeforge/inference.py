@@ -24,18 +24,14 @@ Simultaneous constructions:
 
 Every bootstrap here and in ``distfunc.roc_band`` reduces replicate counts @
 per-observation contributions, and none builds the (n, m) matrix of
-contributions.  ``_replicate_products`` draws every replicate's counts once,
-as bytes (one (B, n) uint8 array a group), then forms the contributions a
-chunk of sample rows at a time from a row source (``estimator.PairRows``) and
-adds counts[:, chunk] @ chunk into the (B, m) output.  It holds B n bytes of
-counts, the 8 B m bytes of output, three chunks of about 1 MB and about 2 MB
-of float64 counts for the products in flight, where the matrix alone took
-8 n m bytes (41 MB at n = 20 000 and 256 points; the band peaks at 27 MB,
-against 56 MB).  Counts that would take more bytes than both the matrix and
-16 MB go in super-blocks of replicates, each walked in turn.  The draws,
-chunks and products are the tasks of one block job (``blocks``), with
-OpenBLAS on one thread, and every output row has the same bits on any number
-of CPUs.  The counts are those of
+contributions: ``_replicate_products`` either multiplies the counts through
+a Hermite expansion about blocks of the sorted sample (``hermite``, the fast
+Gauss transform, for 1-d Gaussian terms where a cost rule finds it four
+times cheaper: the bands and intervals at n = 20 000 and 256 points), or
+forms the contributions a chunk of sample rows at a time and multiplies them
+exactly.  Either way the draws and products are the tasks of one block job
+(``blocks``), with OpenBLAS on one thread, and every output row has the same
+bits on any number of CPUs.  The counts are those of
 ``default_rng([seed, r]).integers(0, n, n)``, but a replicate of at most
 2**14 draws takes them from its raw PCG64 words, a chunk of replicates at a
 time (``_raw_counts``): numpy's bounded-integer rule applied to whole arrays,
@@ -79,6 +75,10 @@ _PRODUCT_ELEMENTS = 2**18
 # The counts of every replicate are drawn at once, unless their bytes would
 # pass both this and the bytes of the contribution matrices.
 _COUNT_BYTES = 2**24
+# Replicates a task of the expansion path draws and multiplies (16 to 96
+# within 20 % of each other at n = 20 000, 32 the fastest): it holds their
+# counts, n bytes a replicate, and two transposed copies of them.
+_EXPANSION_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -384,36 +384,78 @@ def _replicate_products(plan: BootstrapPlan, contributions,
     """(B, m_k) replicate counts @ contributions for each group's (n_k, m_k)
     per-observation contributions, given as arrays or as row sources
     (``estimator.PairRows``); ``sums``, when given, receives each group's
-    column sums of the contributions, the bits of ``matrix.sum(axis=0)``;
-    every walk forms them, a super-block after the first again.
+    column sums of the contributions, the bits of ``matrix.sum(axis=0)``.
 
-    The counts of every replicate are drawn once, as one (B, n_k) uint8 array
-    per group.  Then the walk forms the contributions one chunk of sample
-    rows at a time (``_chunk_rows``) and adds counts[:, chunk] @ chunk into
-    the output, so no bootstrap holds more than _CHUNKS_IN_FLIGHT chunks of
-    contributions.  Where the counts of all B replicates would take
-    more bytes than the contribution matrices (and more than _COUNT_BYTES),
-    the replicates go in super-blocks of that size (``_super_blocks``), each
-    drawn and walked in turn.
+    Two paths, with one stream of counts.  Where every source is a 1-d
+    Gaussian one and the Hermite expansion takes at most a quarter of the
+    exact product's multiply-adds, n p + blocks p m against n m a replicate,
+    and its tables at most 16 MB (``hermite.plan``), each replicate's
+    counts @ terms is (counts @ moments) @ coefficients
+    (``_walk_expansions``): exact but for the truncated tail, at most
+    2^-54 phi(0) per unit of count, with p = 22 (kernel), 23 (debiased) and
+    21 (integrated kernel) terms.  Its tasks each draw and multiply
+    _EXPANSION_ROWS replicates, so it holds only those counts, and one task
+    forms the column sums through the pair pass (``PairRows.sums``).
 
-    Draws, chunk forms and products are the tasks of one job
-    (``blocks.run_graph``), with OpenBLAS on one thread.  Each row of the
-    output has the same bits on any number of workers: chunk edges depend
-    on n_k and m_k alone, chunks are added in order, and each product takes
-    a slice of replicates that starts at a multiple of _ROW_ALIGN and holds
-    at least two (gemm rounds a row by its offset in its row micro-kernel,
-    and a one-row product, gemv, differently again).  The column sums carry
-    the running sum as the first row of each chunk, so numpy adds the rows
-    in the order it adds them in the whole matrix.
+    Elsewhere the chunk walk (``_walk``) draws the counts of every replicate
+    once, as one (B, n_k) uint8 array per group, then forms the
+    contributions one chunk of sample rows at a time (``_chunk_rows``) and
+    adds counts[:, chunk] @ chunk into the output, so no bootstrap holds more
+    than _CHUNKS_IN_FLIGHT chunks of contributions; it forms the column sums
+    on the way, a super-block after the first again.  Where the counts of all
+    B replicates would take more bytes than the contribution matrices (and
+    more than _COUNT_BYTES), the replicates go in super-blocks of that size
+    (``_super_blocks``), each drawn and walked in turn.
+
+    Either path's tasks are one job (``blocks``), with OpenBLAS on one
+    thread, and each row of the output has the same bits on any number of
+    workers.  The expansion's slices of replicates do not depend on the
+    workers at all.  In the chunk walk, chunk edges depend on n_k and m_k
+    alone, chunks are added in order, and each product takes a slice of
+    replicates that starts at a multiple of _ROW_ALIGN and holds at least
+    two (gemm rounds a row by its offset in its row micro-kernel, and a
+    one-row product, gemv, differently again).  The column sums carry the
+    running sum as the first row of each chunk, so numpy adds the rows in
+    the order it adds them in the whole matrix.
     """
+    from . import hermite  # here, not at the top: only bootstraps load it
+
     outs = [np.empty((plan.replicates, c.shape[1])) for c in contributions]
     totals = [np.empty(c.shape[1]) for c in contributions]
+    expansions = hermite.plan(contributions)
     with blocks.one_blas_thread():
-        for rows in _super_blocks(plan, contributions):
-            _walk(plan, contributions, rows, [o[rows] for o in outs], totals)
+        if expansions:
+            _walk_expansions(plan, expansions, contributions, outs, totals)
+        else:
+            for rows in _super_blocks(plan, contributions):
+                _walk(plan, contributions, rows, [o[rows] for o in outs], totals)
     if sums is not None:
         sums.extend(totals)
     return outs
+
+
+def _walk_expansions(plan: BootstrapPlan, expansions, sources, outs: list,
+                     totals: list) -> None:
+    """Write counts @ terms into ``outs`` through the expansions and the
+    sources' column sums into ``totals``: the job that ``_replicate_products``
+    describes.  Each task but the sums' draws the counts of _EXPANSION_ROWS
+    replicates and multiplies them at once, so no task holds more counts."""
+    sizes = [e.rows.size for e in expansions]
+
+    def column_sums():
+        for total, source in zip(totals, sources):
+            total[...] = source.sums()
+
+    def draw_and_multiply(rows):
+        counts = _block_counts(plan, sizes, rows.start, rows.stop,
+                               [np.empty((rows.stop - rows.start, n), dtype=np.uint8)
+                                for n in sizes])
+        for e, c, out in zip(expansions, counts, outs):
+            e.multiply(c, out[rows])
+
+    tasks = [column_sums, *(lambda rows=rows: draw_and_multiply(rows) for rows
+                            in blocks.cut(plan.replicates, _EXPANSION_ROWS))]
+    blocks.run(lambda task: task(), tasks, blocks.workers_for(len(tasks)))
 
 
 def _walk(plan: BootstrapPlan, sources, rows: slice, outs: list, totals: list) -> None:
@@ -671,7 +713,8 @@ class DebiasedDensity:
         the grid (read by ``estimator._query_matrix``), K(u) (1 - sigma_k2
         (||u||^2 - d) / 2) / (n h^d) at u = (x_q - X_i) / h, formed on demand."""
         return estimator.PairRows(self.model, estimator._query_matrix(self.model, grid),
-                                  self._contributions)
+                                  self._contributions,
+                                  ("debiased", self.scale) if self.model.dim == 1 else None)
 
     def correction_matrix(self, grid: np.ndarray) -> np.ndarray:
         """(n, m) per-observation contributions to p_tilde on the grid: every

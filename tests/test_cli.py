@@ -1048,6 +1048,32 @@ def _run_cli(argv, env=None, preexec_fn=None):
                           timeout=120)
 
 
+def test_pinned_products_run_in_numpy_openblas(tmp_path, normal_csv, grouped_csv):
+    # blocks._openblas finds this process's OpenBLAS libraries once, at the
+    # first pin, so one loaded later (scipy.linalg brings its own) would run
+    # its products unpinned.  No subcommand that multiplies under a pin loads
+    # it; the band at n = 10 000 takes the Hermite expansion, the rest the
+    # exact products.
+    path = tmp_path / "big.csv"
+    data = np.random.default_rng(3).normal(size=10_000)
+    path.write_text("x\n" + "\n".join(repr(float(v)) for v in data) + "\n")
+    out, boot = str(tmp_path / "out"), ["--boot", "40", "--seed", "1"]
+    runs = [["band", "--input", str(path), "--method", "debias", *boot, "--output", out],
+            ["band", "--input", str(path), "--method", "boot", *boot, "--output", out],
+            ["ci", "--input", str(path), "--method", "boot", *boot, "--output", out],
+            ["density", "--input", normal_csv, "--output", out],
+            ["modes", "--input", normal_csv, "--output", out],
+            ["roc", "--input", grouped_csv, "--group-col", "status", *boot, "--output", out]]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys\nfrom kdeforge import cli\n"
+             f"for argv in {runs!r}:\n    assert cli.main(argv) == 0, argv\n"
+             "print('scipy.linalg' in sys.modules, 'kdeforge.hermite' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-2:] == ["False", "True"]
+
+
 def test_an_output_too_large_for_memory_is_a_data_error(tmp_path):
     def limit_address_space():  # in the child only
         resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024, 3_000_000 * 1024))

@@ -547,7 +547,7 @@ def test_factor_blocks_give_the_same_bits_on_any_number_of_workers(monkeypatch, 
     axes = tuple(np.sort(rng.uniform(-3, 3, size=g)) for g in shape)
     monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 64)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # forms that share the scratch pool interleave
+    sys.setswitchinterval(1e-6)  # the workers' ranges interleave, each in its own scratch
     try:
         first, *rest = on_each_worker_count(
             monkeypatch, lambda: estimator._factor_sums(model, axes, second), (1, 2, 3, 8))
